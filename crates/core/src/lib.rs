@@ -32,7 +32,6 @@
 //! | simulator | [`rtas_sim`] (re-exported as [`sim`]) | registers, adversaries, executor, exhaustive explorer |
 //! | primitives | [`rtas_primitives`] (re-exported as [`primitives`]) | splitters, 2/3-process elections, TAS-from-LE |
 //! | algorithms | [`rtas_algorithms`] (re-exported as [`algorithms`]) | Fig. 1 group election, O(log* k) LE, O(log log k) LE, RatRace ×2, Section 4 combiner |
-//! | lower bounds | [`rtas_lowerbound`] (re-exported as [`lowerbound`]) | Section 5 recurrence + covering, Theorem 6.1 schedule search |
 //! | native | [`native`] | the same protocols on real `AtomicU64`s |
 //!
 //! ## One-shot objects
@@ -54,7 +53,6 @@ pub use once::RegisterOnce;
 pub use renaming::Renaming;
 
 pub use rtas_algorithms as algorithms;
-pub use rtas_lowerbound as lowerbound;
 pub use rtas_primitives as primitives;
 pub use rtas_sim as sim;
 
@@ -234,8 +232,9 @@ impl LeaderElection {
         self.inner.elect_with(runner)
     }
 
-    /// Recycle the object: zero every register (no allocation) and
-    /// re-open all `capacity` participation slots.
+    /// Recycle the object: return every register to 0 (O(1), no
+    /// allocation; see [`NativeMemory::reset`]) and re-open all
+    /// `capacity` participation slots.
     ///
     /// The caller must guarantee quiescence — every `elect` call of the
     /// current epoch has returned, and the reset happens-before the next
@@ -332,9 +331,10 @@ impl TestAndSet {
         true
     }
 
-    /// Recycle the object: clear the TAS bit, zero every register (no
-    /// allocation), and re-open all `capacity` participation slots.
-    /// Same quiescence contract as [`LeaderElection::reset`].
+    /// Recycle the object: clear the TAS bit, return every register to
+    /// 0 (O(1), no allocation), and re-open all `capacity`
+    /// participation slots. Same quiescence contract as
+    /// [`LeaderElection::reset`].
     pub fn reset(&self) {
         self.done.store(0, Ordering::SeqCst);
         self.le.reset();

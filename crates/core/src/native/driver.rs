@@ -1,6 +1,6 @@
 //! Executing protocol state machines on real atomic registers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 
 use rtas_sim::executor::{SubPoll, SubRuntime};
 use rtas_sim::memory::Memory;
@@ -9,6 +9,11 @@ use rtas_sim::protocol::{Ctx, Notes, Protocol};
 use rtas_sim::rng::SplitMix64;
 use rtas_sim::word::{ProcessId, RegId, Word};
 
+/// Low bits of a register word that hold the register's value; the 16
+/// bits above them hold the tag of the epoch that wrote it.
+const VALUE_BITS: u32 = 48;
+const VALUE_MASK: u64 = (1 << VALUE_BITS) - 1;
+
 /// A block of real atomic registers mirroring a simulator memory layout.
 ///
 /// Register ids handed out by the simulator allocation (dense region ids
@@ -16,9 +21,18 @@ use rtas_sim::word::{ProcessId, RegId, Word};
 /// (`alloc_lazy`) regions are not supported natively — materializing
 /// Θ(n³) atomics is exactly what the paper's space-efficient structures
 /// avoid.
+///
+/// Each word holds `tag << 48 | value`, where `tag` is the 16-bit tag of
+/// the epoch (the span between two [`NativeMemory::reset`]s) that wrote
+/// it. A word whose tag is not the current one reads as 0, so a reset
+/// only has to move to the next tag.
 #[derive(Debug)]
 pub struct NativeMemory {
     regs: Vec<AtomicU64>,
+    /// The current epoch's tag. Changed only by [`NativeMemory::reset`],
+    /// whose quiescence contract orders the change before every later
+    /// operation, so operations may load it `Relaxed`.
+    tag: AtomicU16,
 }
 
 impl NativeMemory {
@@ -40,7 +54,10 @@ impl NativeMemory {
         );
         let n = layout.dense_registers();
         let regs = (0..n).map(|_| AtomicU64::new(0)).collect();
-        NativeMemory { regs }
+        NativeMemory {
+            regs,
+            tag: AtomicU16::new(0),
+        }
     }
 
     /// Number of registers.
@@ -59,27 +76,52 @@ impl NativeMemory {
         &self.regs[id.0 as usize]
     }
 
-    /// Atomic read (sequentially consistent).
+    #[inline]
+    fn tag_bits(&self) -> u64 {
+        u64::from(self.tag.load(Ordering::Relaxed)) << VALUE_BITS
+    }
+
+    /// Atomic read (sequentially consistent). A register not yet written
+    /// in the current epoch reads as 0.
     #[inline]
     pub fn read(&self, id: RegId) -> Word {
-        self.reg(id).load(Ordering::SeqCst)
+        let word = self.reg(id).load(Ordering::SeqCst);
+        if (word & !VALUE_MASK) == self.tag_bits() {
+            word & VALUE_MASK
+        } else {
+            0
+        }
     }
 
-    /// Atomic write (sequentially consistent).
+    /// Atomic write (sequentially consistent), tagged with the current
+    /// epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` does not fit in 48 bits. The protocols store
+    /// ids, flags and packed round numbers, all far below that bound.
     #[inline]
     pub fn write(&self, id: RegId, value: Word) {
-        self.reg(id).store(value, Ordering::SeqCst)
+        assert!(
+            value <= VALUE_MASK,
+            "register value {value:#x} does not fit in 48 bits"
+        );
+        self.reg(id)
+            .store(self.tag_bits() | value, Ordering::SeqCst)
     }
 
-    /// Reset every register to 0 — the object's initial state — without
-    /// allocating.
+    /// Return every register to 0 — the object's initial state — in
+    /// O(1), without allocating.
     ///
     /// The paper's objects are one-shot, but their *memory* is not:
     /// every protocol assumes only that all registers start at 0, so
-    /// zeroing the block returns the object to its pristine pre-first-op
-    /// state and a fixed pool of objects can be recycled epoch after
-    /// epoch instead of reallocated per resolution (see
-    /// `rtas_load::arena`).
+    /// a reset returns the object to its pristine pre-first-op state
+    /// and a fixed pool of objects can be recycled epoch after epoch
+    /// instead of reallocated per resolution (see `rtas_load::arena`).
+    /// The reset moves to the next epoch tag, under which every word
+    /// written so far reads as 0. Only when the 16-bit tag wraps (once
+    /// per 65,536 resets) does it store 0 to every register, so that
+    /// words written under the previous use of tag 0 cannot come back.
     ///
     /// Takes `&self` (the registers are atomics), but the caller must
     /// guarantee *quiescence*: no `elect`/`test_and_set` call may be in
@@ -88,8 +130,10 @@ impl NativeMemory {
     /// release/acquire epoch counter). A reset that races a live
     /// operation is not memory-unsafe, only semantically meaningless.
     pub fn reset(&self) {
-        for reg in &self.regs {
-            reg.store(0, Ordering::SeqCst);
+        if self.tag.fetch_add(1, Ordering::Relaxed) == u16::MAX {
+            for reg in &self.regs {
+                reg.store(0, Ordering::SeqCst);
+            }
         }
     }
 }

@@ -14,9 +14,10 @@
 //! schedules the interleaving (the OS instead of an adversary).
 
 //!
-//! Native objects are also *recyclable*: [`NativeMemory::reset`] stores
-//! 0 to every register without allocating, returning the object to its
-//! initial state, and [`NativeRunner`] reuses one protocol-stack buffer
+//! Native objects are also *recyclable*: [`NativeMemory::reset`] returns
+//! every register to 0 in O(1) and without allocating, by moving to a
+//! new epoch tag under which older register words read as 0 (see
+//! [`NativeMemory`]), and [`NativeRunner`] reuses one protocol-stack buffer
 //! across operations — together the foundation of the `rtas-load`
 //! sharded arena, which resolves sustained traffic on a fixed pool of
 //! objects instead of constructing one per operation.

@@ -4,7 +4,7 @@
 //! recycle claims:
 //!
 //! * `NativeMemory::reset` / `TestAndSet::reset` perform **zero**
-//!   allocations — recycling is register stores, nothing else;
+//!   allocations — recycling is atomic updates, nothing else;
 //! * the steady-state op path allocates only the per-operation protocol
 //!   state machines (a handful of small boxes), not the object graph —
 //!   recycling must beat rebuilding by a wide margin per resolution.

@@ -1,12 +1,12 @@
 //! Integration: lower-bound machinery against the real implementations.
 
 use rtas::algorithms::{LogLogLe, LogStarLe, SpaceEfficientRatRace};
-use rtas::lowerbound::covering::covering_base_case;
-use rtas::lowerbound::recurrence::{closed_form_f, f_sequence, register_lower_bound};
-use rtas::lowerbound::yao::schedule_tail_probabilities;
 use rtas::primitives::{RoleLeaderElect, TwoProcessLe};
 use rtas::sim::memory::Memory;
 use rtas::sim::protocol::Protocol;
+use rtas_lowerbound::covering::covering_base_case;
+use rtas_lowerbound::recurrence::{closed_form_f, f_sequence, register_lower_bound};
+use rtas_lowerbound::yao::schedule_tail_probabilities;
 
 #[test]
 fn covering_base_case_holds_for_every_algorithm() {

@@ -2,10 +2,16 @@
 //! concurrency, across all backends — fresh objects, recycled (reset)
 //! objects, and the raw group-election primitive.
 
-use rtas::algorithms::{GeometricGroupElect, GroupElect, SiftingGroupElect};
+use std::sync::Arc;
+
+use rtas::algorithms::{
+    Combined, GeometricGroupElect, GroupElect, LeaderElect, LogLogLe, LogStarLe, SiftingGroupElect,
+    SpaceEfficientRatRace,
+};
 use rtas::native::{run_protocol, NativeMemory, NativeRunner};
 use rtas::sim::memory::Memory;
 use rtas::sim::protocol::ret;
+use rtas::sim::word::{RegId, Word};
 use rtas::{Backend, LeaderElection, TestAndSet};
 
 const BACKENDS: [Backend; 4] = [
@@ -212,4 +218,87 @@ fn recycled_backends_on_8_threads_exactly_one_winner_per_round() {
             tas.reset();
         }
     }
+}
+
+/// The descriptor a [`LeaderElection`] of `backend` runs, laid out in
+/// `layout`.
+fn descriptor(backend: Backend, layout: &mut Memory, capacity: usize) -> Arc<dyn LeaderElect> {
+    match backend {
+        Backend::LogStar => Arc::new(LogStarLe::new(layout, capacity)),
+        Backend::LogLog => Arc::new(LogLogLe::new(layout, capacity)),
+        Backend::RatRace => Arc::new(SpaceEfficientRatRace::new(layout, capacity)),
+        Backend::Combined => {
+            let weak = Arc::new(LogStarLe::new(layout, capacity));
+            Arc::new(Combined::new(layout, weak, capacity))
+        }
+    }
+}
+
+fn register_values(memory: &NativeMemory) -> Vec<Word> {
+    (0..memory.len() as u64)
+        .map(|i| memory.read(RegId(i)))
+        .collect()
+}
+
+/// The largest value a native register word stores.
+const MAX_VALUE: Word = (1 << 48) - 1;
+
+#[test]
+fn recycled_memory_matches_fresh_memory_across_the_tag_wrap() {
+    // Register words carry a 16-bit epoch tag, so the 65,536th reset
+    // brings back the first epoch's tag. Elections at checked epochs on
+    // one recycled memory must match the same elections on a fresh one.
+    const WRAP: u64 = 1 << 16;
+    const PARTICIPANTS: usize = 4;
+    for backend in BACKENDS {
+        let mut layout = Memory::new();
+        let le = descriptor(backend, &mut layout, 64);
+        let recycled = NativeMemory::from_layout(&layout);
+        for epoch in 0..WRAP + 4_000 {
+            if epoch % 1_000 == 0 || (WRAP - 2..WRAP + 2).contains(&epoch) {
+                let fresh = NativeMemory::from_layout(&layout);
+                // At epoch WRAP this also shows that the words written
+                // just before the wrap read 0 after it.
+                assert_eq!(
+                    register_values(&recycled),
+                    register_values(&fresh),
+                    "{backend:?} epoch {epoch}: recycled memory does not read as zero"
+                );
+                let elect = |memory: &NativeMemory| -> Vec<Word> {
+                    (0..PARTICIPANTS)
+                        .map(|p| run_protocol(le.elect(), memory, p, epoch * 64 + p as u64))
+                        .collect()
+                };
+                let verdicts = elect(&recycled);
+                assert_eq!(verdicts, elect(&fresh), "{backend:?} epoch {epoch}");
+                assert_eq!(
+                    verdicts.iter().filter(|&&v| v == ret::WIN).count(),
+                    1,
+                    "{backend:?} epoch {epoch}: {verdicts:?}"
+                );
+                assert_eq!(
+                    register_values(&recycled),
+                    register_values(&fresh),
+                    "{backend:?} epoch {epoch}"
+                );
+            }
+            if epoch == 0 {
+                // Words left under the first epoch's tag must not read
+                // as live when the tag comes round again.
+                for i in 0..recycled.len() as u64 {
+                    recycled.write(RegId(i), MAX_VALUE);
+                    assert_eq!(recycled.read(RegId(i)), MAX_VALUE);
+                }
+            }
+            recycled.reset();
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "does not fit in 48 bits")]
+fn writing_a_value_above_48_bits_panics() {
+    let mut layout = Memory::new();
+    let reg = layout.alloc(1, "t").get(0);
+    NativeMemory::from_layout(&layout).write(reg, MAX_VALUE + 1);
 }
