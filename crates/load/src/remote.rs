@@ -130,6 +130,23 @@ pub struct RemoteCtx {
 }
 
 impl RemoteCtx {
+    /// One lockstep round trip on `clients[at]`. With a live tracer the
+    /// request carries a fresh span and its send → decoded time is
+    /// recorded as a `ClientSpan`; otherwise it goes out with span 0,
+    /// which the wire reserves for "untraced".
+    fn round_trip(&mut self, at: usize, op: Op, key: &[u8]) -> Result<Response, ClientError> {
+        let mut tracer = self.tracer.as_mut().filter(|t| t.enabled());
+        let span = tracer.as_mut().map_or(0, |t| t.mint());
+        let t0 = tracer.as_ref().map_or(0, |t| t.now_ns());
+        let client = &mut self.clients[at];
+        client.send_span(op, span, key)?;
+        let response = client.recv()?;
+        if let Some(t) = tracer {
+            t.record(op, span, t.now_ns().saturating_sub(t0));
+        }
+        Ok(response)
+    }
+
     /// Block for the oldest in-flight epoch's two responses and check
     /// them: the deferred verdict must be a win (the worker is its
     /// shard's sole participant) and the ack must be a reset ack.
@@ -402,61 +419,19 @@ impl LoadTarget for RemoteTarget {
             }
             return true;
         }
-        let won = match ctx.tracer.as_mut().filter(|t| t.enabled()) {
-            Some(tracer) => {
-                // Traced lockstep round trip: a fresh span on the wire,
-                // timed send → decoded verdict, recorded as ClientSpan.
-                let span = tracer.mint();
-                let t0 = tracer.now_ns();
-                let client = &mut ctx.clients[at];
-                client
-                    .send_span(Op::Tas, span, key)
-                    .unwrap_or_else(|e| panic!("TAS on {} failed: {e}", self.addr));
-                let won = match client.recv() {
-                    Ok(Response::Acquired(a)) => a.won,
-                    Ok(other) => panic!(
-                        "traced TAS on {}: expected a verdict, got {other:?}",
-                        self.addr
-                    ),
-                    Err(e) => panic!("TAS on {} failed: {e}", self.addr),
-                };
-                tracer.record(Op::Tas, span, tracer.now_ns().saturating_sub(t0));
-                won
-            }
-            None => {
-                ctx.clients[at]
-                    .tas(key)
-                    .unwrap_or_else(|e| panic!("TAS on {} failed: {e}", self.addr))
-                    .won
-            }
+        let won = match ctx.round_trip(at, Op::Tas, key) {
+            Ok(Response::Acquired(a)) => a.won,
+            Ok(other) => panic!("TAS on {}: expected a verdict, got {other:?}", self.addr),
+            Err(e) => panic!("TAS on {} failed: {e}", self.addr),
         };
         if state.done.fetch_add(1, Ordering::AcqRel) + 1 == self.group {
             // Last finisher: every call of this epoch has its response,
             // so the server-side gate is quiescent the moment our RESET
             // is admitted. Ack it, then open the next local epoch.
-            match ctx.tracer.as_mut().filter(|t| t.enabled()) {
-                Some(tracer) => {
-                    let span = tracer.mint();
-                    let t0 = tracer.now_ns();
-                    let client = &mut ctx.clients[at];
-                    client
-                        .send_span(Op::Reset, span, key)
-                        .unwrap_or_else(|e| panic!("RESET on {} failed: {e}", self.addr));
-                    match client.recv() {
-                        Ok(Response::Reset { .. }) => {}
-                        Ok(other) => panic!(
-                            "traced RESET on {}: expected an ack, got {other:?}",
-                            self.addr
-                        ),
-                        Err(e) => panic!("RESET on {} failed: {e}", self.addr),
-                    }
-                    tracer.record(Op::Reset, span, tracer.now_ns().saturating_sub(t0));
-                }
-                None => {
-                    ctx.clients[at]
-                        .reset(key)
-                        .unwrap_or_else(|e| panic!("RESET on {} failed: {e}", self.addr));
-                }
+            match ctx.round_trip(at, Op::Reset, key) {
+                Ok(Response::Reset { .. }) => {}
+                Ok(other) => panic!("RESET on {}: expected an ack, got {other:?}", self.addr),
+                Err(e) => panic!("RESET on {} failed: {e}", self.addr),
             }
             state.done.store(0, Ordering::Relaxed);
             state.epoch.fetch_add(1, Ordering::Release);
@@ -531,16 +506,16 @@ pub fn run_load_remote_traced(
 /// report extras a remote run attaches to its `scope=total` row
 /// ([`LoadOutcome::svc_extras`]).
 ///
-/// The set is **fixed** — nine extras, always in this order, every name
+/// The set is **fixed** — eight extras, always in this order, every name
 /// present even when the server reports nothing for it (a threads
 /// engine has no `reactor.worker<k>.*` gauges; the sums are then 0) —
 /// so baseline and current reports always carry identical value keys
 /// and `bench-diff` can gate them structurally:
 ///
 /// `svc_ops`, `svc_wins`, `svc_resets`, `svc_reclaimed`, `svc_refused`
-/// (the namespace counters), `svc_wake_writes`, `svc_carryovers`
-/// (reactor counters), and `svc_slab_live` / `svc_wheel_entries`
-/// (per-worker gauges summed across workers).
+/// (the namespace counters), `svc_carryovers` (the reactor counter),
+/// and `svc_slab_live` / `svc_wheel_entries` (per-worker gauges summed
+/// across workers).
 ///
 /// Errors carry a printable message; callers warn and omit the extras
 /// rather than failing a finished run over a scrape.
@@ -572,7 +547,6 @@ pub fn scrape_svc_extras(addr: &str) -> Result<Vec<(String, f64)>, String> {
         ("svc_resets".to_string(), value("svc.resets")),
         ("svc_reclaimed".to_string(), value("svc.reclaimed")),
         ("svc_refused".to_string(), value("svc.refused")),
-        ("svc_wake_writes".to_string(), value("reactor.wake_writes")),
         ("svc_carryovers".to_string(), value("reactor.carryovers")),
         ("svc_slab_live".to_string(), worker_sum(".slab_live")),
         (

@@ -1,9 +1,15 @@
 //! `rtas-trace` — cross-tier trace tooling over `RTASTRC1` dumps.
 //!
 //! ```text
+//! rtas-trace dump <dump.rtastrc> [--json]
 //! rtas-trace merge <client.rtastrc> <server.rtastrc> [--json] [--bench]
 //! rtas-trace audit <dump.rtastrc>...
 //! ```
+//!
+//! `dump` decodes one dump — a server's flight recorder or a load
+//! client's — into a timeline of every lane's events merged by
+//! timestamp, or with `--json` into one JSON array; events the lossy
+//! rings overwrote before the dump are counted on stderr.
 //!
 //! `merge` joins a client dump and a server dump on span id (see
 //! `docs/WIRE.md` for the wire trace extension) and prints per-request
@@ -20,14 +26,16 @@
 use std::process::ExitCode;
 
 use rtas_obs::{
-    audit_events, bench_report, decode_dump, merge_spans, render_merge_json, render_merge_timeline,
-    TraceDump,
+    audit_events, bench_report, decode_dump, merge_spans, render_json, render_merge_json,
+    render_merge_timeline, render_timeline, TraceDump,
 };
 
 fn usage() -> String {
     "usage: rtas-trace <command>\n\
      \n\
      commands:\n\
+     \x20 dump <dump.rtastrc> [--json]\n\
+     \x20     decode one flight-recorder dump as a timeline (or JSON)\n\
      \x20 merge <client.rtastrc> <server.rtastrc> [--json] [--bench]\n\
      \x20     join client and server dumps on span id; print per-request\n\
      \x20     end-to-end timelines and the network/server/queue breakdown\n\
@@ -41,6 +49,37 @@ fn usage() -> String {
 fn load_dump(path: &str) -> Result<TraceDump, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     decode_dump(&bytes).map_err(|e| format!("cannot decode {path}: {e}"))
+}
+
+fn run_dump(args: &[String]) -> Result<ExitCode, String> {
+    let mut paths = Vec::new();
+    let mut json = false;
+    for arg in args {
+        match arg.as_str() {
+            "--json" => json = true,
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown dump flag {flag}\n\n{}", usage()))
+            }
+            path => paths.push(path),
+        }
+    }
+    let [path] = paths.as_slice() else {
+        return Err(format!("dump takes exactly one dump file\n\n{}", usage()));
+    };
+    let dump = load_dump(path)?;
+    let events = dump.merged();
+    if json {
+        print!("{}", render_json(&events));
+    } else {
+        print!("{}", render_timeline(&events));
+        let dropped = dump.dropped();
+        if dropped > 0 {
+            eprintln!(
+                "rtas-trace: {dropped} event(s) were overwritten before the dump (lossy rings)"
+            );
+        }
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn run_merge(args: &[String]) -> Result<ExitCode, String> {
@@ -100,6 +139,7 @@ fn run_audit(args: &[String]) -> Result<ExitCode, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
+        Some("dump") => run_dump(&args[1..]),
         Some("merge") => run_merge(&args[1..]),
         Some("audit") => run_audit(&args[1..]),
         Some("--help" | "-h" | "help") => {

@@ -5,7 +5,7 @@
 //! into a [`TraceDump`]; [`TraceDump::merged`] flattens it into one
 //! time-sorted event list; [`render_timeline`] and [`render_json`] turn
 //! that list into a human-readable timeline or a JSON array for
-//! machines. `rtas-svc trace-dump <file> [--json]` is the CLI front end
+//! machines. `rtas-trace dump <file> [--json]` is the CLI front end
 //! for all three.
 
 use crate::event::{lane_name, EventKind, TraceEvent};

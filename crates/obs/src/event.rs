@@ -62,7 +62,8 @@ pub enum EventKind {
     /// The arbiter produced a verdict. `a` = 1 if the caller won,
     /// `b` = epoch, `c` = FNV-1a hash of the key.
     ArbiterVerdict = 5,
-    /// A RESET was acknowledged. `b` = epoch, `c` = key hash.
+    /// A RESET ack retired an epoch. `b` = the epoch it opened, `c` =
+    /// key hash. An ack that found nothing to retire records nothing.
     ResetAck = 6,
     /// An expired lease was reclaimed by the sweeper. `b` = epoch that
     /// was torn down, `c` = key hash.

@@ -26,7 +26,7 @@
 //!   [`TraceMode`] (`off` | `on` | `sampled:<n>`) gate, and the binary
 //!   dump writer. [`dump`] is the matching decoder: parse a dump file,
 //!   merge lanes into one time-sorted timeline, render it for humans
-//!   or as JSON (`rtas-svc trace-dump`).
+//!   or as JSON (`rtas-trace dump`).
 //! * [`metrics`] — the **metrics plane**: typed [`Counter`]s,
 //!   [`Gauge`]s, and lock-free log-bin latency [`Histogram`]s (the
 //!   exact [`rtas_bench::stats`] bin scheme, so quantile semantics

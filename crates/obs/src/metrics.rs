@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! rtas-metrics/2
-//! reactor.wake_writes 42
+//! reactor.carryovers 42
 //! stage.read_ns.count 1200
 //! stage.read_ns.p50 1834.2
 //! ...
@@ -384,14 +384,14 @@ mod tests {
     #[test]
     fn registry_renders_sorted_and_is_idempotent() {
         let reg = Registry::new();
-        let c = reg.counter("reactor.wake_writes");
+        let c = reg.counter("reactor.carryovers");
         let g = reg.gauge("reactor.worker0.slab_live");
         let h = reg.histogram("stage.read_ns");
         c.add(42);
         g.set(7);
         h.record(1500.0);
         // Re-registration hands back the same instrument.
-        reg.counter("reactor.wake_writes").inc();
+        reg.counter("reactor.carryovers").inc();
         assert_eq!(c.get(), 43);
 
         let text = reg.render();
@@ -401,7 +401,7 @@ mod tests {
         let mut sorted = rest.clone();
         sorted.sort();
         assert_eq!(rest, sorted, "body must be name-sorted");
-        assert!(text.contains("reactor.wake_writes 43\n"));
+        assert!(text.contains("reactor.carryovers 43\n"));
         assert!(text.contains("reactor.worker0.slab_live 7\n"));
         assert!(text.contains("stage.read_ns.count 1\n"));
         assert!(text.contains("stage.read_ns.p50 "));

@@ -8,13 +8,12 @@
 //! `serve` prints `listening on <addr>` once the socket is bound —
 //! smoke scripts can wait for the port. See `docs/WIRE.md` for the
 //! wire protocol, and the "Observability" section of
-//! `docs/OPERATIONS.md` for `stats --metrics`, `top`, `--trace`, and
-//! `trace-dump`.
+//! `docs/OPERATIONS.md` for `stats --metrics`, `top`, and `--trace`
+//! (trace dumps decode with `rtas-trace dump`).
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use rtas_svc::obs::{decode_dump, render_json, render_timeline};
 use rtas_svc::{cli, Client, Server};
 
 fn usage() -> ! {
@@ -79,52 +78,6 @@ fn run_stats(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_trace_dump(args: &[String]) -> ExitCode {
-    let mut file = None;
-    let mut json = false;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            other if !other.starts_with("--") && file.is_none() => file = Some(other.to_string()),
-            other => {
-                eprintln!("error: unknown argument {other}");
-                usage();
-            }
-        }
-    }
-    let Some(file) = file else {
-        eprintln!("error: trace-dump requires a dump file path");
-        usage();
-    };
-    let bytes = match std::fs::read(&file) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            eprintln!("rtas-svc: cannot read {file}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let dump = match decode_dump(&bytes) {
-        Ok(dump) => dump,
-        Err(e) => {
-            eprintln!("rtas-svc: {file} is not a valid RTASTRC1 dump: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let dropped = dump.dropped();
-    let events = dump.merged();
-    if json {
-        print!("{}", render_json(&events));
-    } else {
-        print!("{}", render_timeline(&events));
-        if dropped > 0 {
-            eprintln!(
-                "rtas-svc: {dropped} event(s) were overwritten before the dump (lossy rings)"
-            );
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -158,13 +111,12 @@ fn main() -> ExitCode {
                 default_hook(info);
             }));
             println!(
-                "rtas-svc: listening on {} (backend={:?} shards={} capacity={} listeners={} \
-                 engine={} workers={} trace={})",
+                "rtas-svc: listening on {} (backend={:?} shards={} capacity={} engine={} \
+                 workers={} trace={})",
                 server.addr(),
                 config.backend,
                 config.shards,
                 config.capacity,
-                config.listeners,
                 config.engine,
                 config.workers,
                 config.trace.label(),
@@ -186,7 +138,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "trace-dump" => run_trace_dump(&args[1..]),
         other => {
             eprintln!("error: unknown command {other:?}");
             usage();

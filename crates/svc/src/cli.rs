@@ -70,24 +70,17 @@ pub const SERVE_FLAGS: &[Flag] = &[
         sample: "ratrace",
     },
     Flag {
-        name: "--listeners",
-        value: "<n>",
-        default: "2",
-        help: "accept threads sharing the listening socket",
-        sample: "1",
-    },
-    Flag {
         name: "--engine",
         value: "<e>",
         default: "epoll (threads where unsupported)",
-        help: "connection engine: epoll | poll | threads",
+        help: "connection engine: epoll | threads",
         sample: "threads",
     },
     Flag {
         name: "--workers",
         value: "<n>",
         default: "available parallelism, capped at 8",
-        help: "reactor worker threads (epoll/poll engines only)",
+        help: "reactor worker threads (epoll only)",
         sample: "2",
     },
     Flag {
@@ -147,10 +140,7 @@ pub fn serve_usage() -> String {
          \x20                                  per-second rates, per-worker gauges, stage\n\
          \x20                                  latency sparklines (--once prints a single\n\
          \x20                                  sample and exits; --json implies --once)\n\
-         \x20      rtas-svc trace-dump <file> [--json]\n\
-         \x20                                  decode a flight-recorder dump (RTASTRC1)\n\
-         \x20                                  as a timeline (or JSON) and exit\n\
-         \x20                                  (cross-tier merge/audit: see rtas-trace)\n",
+         \x20      flight-recorder dumps: rtas-trace dump | merge | audit\n",
     );
     out
 }
@@ -204,7 +194,6 @@ pub fn parse_serve(args: &[String]) -> Result<SvcConfig, String> {
             "--addr" => config.addr = value("--addr")?.clone(),
             "--shards" => config.shards = positive("--shards", value("--shards")?)?,
             "--capacity" => config.capacity = positive("--capacity", value("--capacity")?)?,
-            "--listeners" => config.listeners = positive("--listeners", value("--listeners")?)?,
             "--workers" => config.workers = positive("--workers", value("--workers")?)?,
             "--max-keys" => config.max_keys = positive("--max-keys", value("--max-keys")?)?,
             "--max-conns" => config.max_conns = positive("--max-conns", value("--max-conns")?)?,
@@ -218,7 +207,7 @@ pub fn parse_serve(args: &[String]) -> Result<SvcConfig, String> {
             "--engine" => {
                 let v = value("--engine")?;
                 config.engine = Engine::parse(v)
-                    .ok_or_else(|| format!("unknown engine {v:?} (epoll|poll|threads)"))?;
+                    .ok_or_else(|| format!("unknown engine {v:?} (epoll|threads)"))?;
             }
             "--backend" => {
                 let v = value("--backend")?;
@@ -390,6 +379,8 @@ mod tests {
         assert!(err(&["--shards", "many"]).contains("is invalid"));
         assert!(err(&["--lease-ms", "0"]).contains("omit to disable"));
         assert!(err(&["--engine", "uring"]).contains("unknown engine"));
+        assert!(err(&["--engine", "poll"]).contains("unknown engine"));
+        assert!(err(&["--listeners", "2"]).contains("unknown argument"));
         assert!(err(&["--backend", "quantum"]).contains("unknown backend"));
         let cap_err = err(&["--capacity", "1000000000"]);
         assert!(cap_err.contains("--capacity must be at most"), "{cap_err}");
@@ -406,10 +397,8 @@ mod tests {
             "5",
             "--backend",
             "loglog",
-            "--listeners",
-            "1",
             "--engine",
-            "poll",
+            "threads",
             "--workers",
             "2",
             "--max-keys",
@@ -431,8 +420,7 @@ mod tests {
         assert_eq!(config.shards, 3);
         assert_eq!(config.capacity, 5);
         assert_eq!(config.backend, rtas::Backend::LogLog);
-        assert_eq!(config.listeners, 1);
-        assert_eq!(config.engine, Engine::Poll);
+        assert_eq!(config.engine, Engine::Threads);
         assert_eq!(config.workers, 2);
         assert_eq!(config.max_keys, 10);
         assert_eq!(config.lease, Some(Duration::from_millis(250)));

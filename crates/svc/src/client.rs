@@ -253,10 +253,7 @@ impl Client {
     /// Pipeline half 1: write one request frame without waiting —
     /// length prefix and payload coalesced into a single `write`.
     pub fn send(&mut self, op: Op, key: &[u8]) -> io::Result<()> {
-        self.out.clear();
-        frame_request(op, key, &mut self.out);
-        self.wire_writes += 1;
-        self.stream.write_all(&self.out)
+        self.send_span(op, 0, key)
     }
 
     /// [`Client::send`] with a wire trace context: a nonzero `span`

@@ -320,8 +320,8 @@ impl Connection {
 /// Execute one decoded request against the namespace. `STATS` merges
 /// the accept loop's connection gauges into the namespace counters;
 /// `obs` renders the registry into `METRICS` responses; `timed` (the
-/// sample-gated recorder handle) gets `ArbiterVerdict`/`ResetAck`
-/// events.
+/// sample-gated recorder handle) gets `ArbiterVerdict` events and a
+/// `ResetAck` for every ack that opened an epoch.
 pub(crate) fn execute_obs(
     namespace: &Namespace,
     gauges: &ConnGauges,
@@ -354,8 +354,10 @@ pub(crate) fn execute_obs(
             }
         }
         Op::Reset => {
-            let epoch = namespace.reset(request.key).unwrap_or(0);
-            if let Some(o) = timed {
+            let (epoch, opened) = namespace.reset_ack(request.key).unwrap_or((0, false));
+            // The audit reads a `ResetAck` as "this ack opened `epoch`",
+            // so a no-op ack leaves no event.
+            if let Some(o) = timed.filter(|_| opened) {
                 o.recorder
                     .record(o.lane, EventKind::ResetAck, 0, epoch, fnv1a(request.key));
             }
@@ -569,6 +571,39 @@ mod tests {
     }
 
     #[test]
+    fn only_acks_that_open_an_epoch_are_recorded() {
+        let ns = Namespace::new(Backend::Combined, 1, 2);
+        let gauges = ConnGauges::default();
+        let recorder = FlightRecorder::new(rtas_obs::TraceMode::On, 1);
+        let metrics = SvcMetrics::new(1);
+        let obs = ConnObs {
+            recorder: &recorder,
+            metrics: &metrics,
+            lane: Lane::Worker(0),
+        };
+        let mut conn = Connection::new();
+        let mut burst = Vec::new();
+        frame_request(Op::Tas, b"k", &mut burst);
+        frame_request(Op::Reset, b"k", &mut burst);
+        // A replayed ack finds epoch 1 without admissions: a no-op.
+        frame_request(Op::Reset, b"k", &mut burst);
+        frame_request(Op::Reset, b"missing", &mut burst);
+        conn.ingest_obs(&burst, &ns, &gauges, Some(&obs));
+        let responses = decode_all(conn.output());
+        assert_eq!(responses[1], Response::Reset { epoch: 1 });
+        assert_eq!(responses[2], Response::Reset { epoch: 1 });
+        assert_eq!(responses[3], Response::Reset { epoch: 0 });
+        let events = recorder.snapshot();
+        let acks: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::ResetAck as u32)
+            .collect();
+        assert_eq!(acks.len(), 1, "one ack opened an epoch");
+        assert_eq!(acks[0].b, 1);
+        assert!(rtas_obs::audit_events(&events).passed());
+    }
+
+    #[test]
     fn obs_ingest_times_stages_and_records_events() {
         let ns = Namespace::new(Backend::Combined, 1, 2);
         let gauges = ConnGauges::default();
@@ -610,7 +645,7 @@ mod tests {
         match &responses[2] {
             Response::Metrics(text) => {
                 assert!(text.contains("stage.arbiter_ns.count 2\n"));
-                assert!(text.contains("reactor.wake_writes 0\n"));
+                assert!(text.contains("reactor.carryovers 0\n"));
             }
             other => panic!("expected metrics, got {other:?}"),
         }

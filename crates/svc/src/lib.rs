@@ -20,13 +20,13 @@
 //!   response bytes out, zero I/O inside): an incremental frame
 //!   decoder that drains whole pipelined bursts per read and carries
 //!   partial frames across reads;
-//! * [`reactor`] — the readiness-driven core: an `epoll(7)`-backed
-//!   event loop (`poll(2)` as the reference engine) over a libc-free
-//!   syscall shim, driving thousands of `Connection` machines per
-//!   worker with write backpressure and timer-wheel read deadlines;
+//! * [`reactor`] — the readiness-driven core: `epoll(7)`-backed event
+//!   loops over a libc-free syscall shim, each accepting its share of
+//!   connections round-robin and driving thousands of `Connection`
+//!   machines with write backpressure and timer-wheel read deadlines;
 //! * [`server`] / [`client`] — TCP serving through either engine
 //!   (reactor workers by default, thread-per-connection as the
-//!   portable fallback) with sharded accept loops and bulk-I/O burst
+//!   portable fallback) with one admission policy and bulk-I/O burst
 //!   handling (one read, one coalesced write per pipelined burst),
 //!   and a blocking pipelining-capable client with batched
 //!   single-write sends, bounded timeouts, and jittered reconnect
@@ -41,7 +41,7 @@
 //!   `rtas-load` report extras. The companion flight recorder
 //!   (`--trace on|off|sampled:<n>`) writes lock-free per-worker event
 //!   rings dumped in the `RTASTRC1` format and decoded by
-//!   `rtas-svc trace-dump`; [`top`] renders a live terminal view over
+//!   `rtas-trace dump`; [`top`] renders a live terminal view over
 //!   the same metrics plane (`rtas-svc top`), and the `rtas-trace`
 //!   binary merges client/server dumps on wire-propagated span ids
 //!   and audits them against the paper's safety claim offline.

@@ -4,10 +4,8 @@
 //! every instrument the server updates, handing out the `Arc` handles
 //! the hot paths increment lock-free:
 //!
-//! * **Reactor counters** — `reactor.wake_writes` (dispatcher pokes of
-//!   a worker's wake socket) and `reactor.carryovers` (flushes that
-//!   left a partial write buffered), both previously invisible outside
-//!   a debugger.
+//! * **Reactor counter** — `reactor.carryovers` (flushes that left a
+//!   partial write buffered).
 //! * **Per-worker gauges** — `reactor.worker<k>.slab_live` (occupied
 //!   connection slots) and `reactor.worker<k>.wheel_entries` (armed
 //!   idle deadlines in the timer wheel).
@@ -32,8 +30,6 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct SvcMetrics {
     registry: Registry,
-    /// Dispatcher writes to worker wake sockets, cumulative.
-    pub wake_writes: Arc<Counter>,
     /// Flushes that left bytes buffered (partial-write carryover),
     /// cumulative.
     pub carryovers: Arc<Counter>,
@@ -61,7 +57,6 @@ impl SvcMetrics {
     /// exist).
     pub fn new(workers: usize) -> Self {
         let registry = Registry::new();
-        let wake_writes = registry.counter("reactor.wake_writes");
         let carryovers = registry.counter("reactor.carryovers");
         let slab_live = (0..workers)
             .map(|k| registry.gauge(&format!("reactor.worker{k}.slab_live")))
@@ -76,7 +71,6 @@ impl SvcMetrics {
         let stage_write = registry.histogram("stage.write_ns");
         SvcMetrics {
             registry,
-            wake_writes,
             carryovers,
             slab_live,
             wheel_entries,
@@ -102,14 +96,12 @@ mod tests {
     #[test]
     fn every_instrument_is_registered_and_renders() {
         let m = SvcMetrics::new(2);
-        m.wake_writes.add(5);
         m.carryovers.inc();
         m.slab_live[0].set(3);
         m.wheel_entries[1].set(7);
         m.stage_arbiter.record(1234.0);
         let text = m.registry().render();
         for needle in [
-            "reactor.wake_writes 5\n",
             "reactor.carryovers 1\n",
             "reactor.worker0.slab_live 3\n",
             "reactor.worker1.slab_live 0\n",

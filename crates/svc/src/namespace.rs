@@ -387,17 +387,18 @@ impl Entry {
         }
     }
 
-    /// Recycle for the next epoch (the client's `RESET` ack). A
-    /// zero-admission open epoch is left untouched — the ack is
-    /// idempotent — and the open epoch is returned unchanged.
-    fn recycle(&self, counters: &ShardCounters) -> u64 {
+    /// Recycle for the next epoch (the client's `RESET` ack); returns
+    /// the open epoch and whether this ack opened it. A zero-admission
+    /// open epoch is left untouched — the ack is idempotent — and comes
+    /// back unchanged with `false`.
+    fn recycle(&self, counters: &ShardCounters) -> (u64, bool) {
         match self.gate.begin_reset() {
             Some(old) => {
                 self.arbiter.reset();
                 counters.resets.fetch_add(1, Ordering::Relaxed);
-                self.gate.end_reset(old)
+                (self.gate.end_reset(old), true)
             }
-            None => self.gate.epoch(),
+            None => (self.gate.epoch(), false),
         }
     }
 
@@ -708,6 +709,14 @@ impl Namespace {
     /// retired; admission re-opens only after the allocation-free reset
     /// is published (release/acquire — see the [module docs](self)).
     pub fn reset(&self, key: &[u8]) -> Option<u64> {
+        self.reset_ack(key).map(|(epoch, _)| epoch)
+    }
+
+    /// [`Namespace::reset`], also saying whether this ack opened the
+    /// returned epoch. It did not when the open epoch had no
+    /// admissions — a lease reclaim or an earlier ack already opened
+    /// it — and the ack was an idempotent no-op.
+    pub(crate) fn reset_ack(&self, key: &[u8]) -> Option<(u64, bool)> {
         let shard = self.shard_of(key);
         let entry = shard.map.read().unwrap().get(key).cloned()?;
         Some(entry.recycle(&shard.counters))

@@ -450,7 +450,7 @@ mod tests {
                 conns: 7,
                 refused: 8,
             }),
-            Response::Metrics("rtas-metrics/2\nreactor.wake_writes 42\n".to_string()),
+            Response::Metrics("rtas-metrics/2\nreactor.carryovers 42\n".to_string()),
             Response::Err("kind mismatch".to_string()),
         ];
         for resp in cases {

@@ -1,33 +1,36 @@
 //! The readiness-driven reactor: many connections per worker thread.
 //!
-//! The blocking server spends one OS thread per connection; this
-//! module spends one `Worker` thread per core-ish
+//! The threads engine spends one OS thread per connection; this module
+//! spends one `Worker` thread per core-ish
 //! ([`SvcConfig::workers`](crate::SvcConfig::workers)) and multiplexes
-//! every connection assigned to it over a single readiness source —
-//! `epoll(7)` by default, `poll(2)` as the portable reference engine —
-//! reached through the inline-assembly syscall shim in `sys.rs` (the
-//! repo takes no external crates, and std exposes neither API). See
+//! every connection it accepted over one `epoll(7)` instance, reached
+//! through the inline-assembly syscall shim in `sys.rs` (the repo takes
+//! no external crates, and std does not expose epoll). See
 //! `docs/ARCHITECTURE.md` for the full picture; `worker.rs` holds the
 //! event-loop contract.
 //!
 //! Division of labor:
 //!
-//! * **Accept threads** stay blocking and unchanged — they claim the
-//!   `max_conns` slot, refuse over the ceiling, and hand accepted
-//!   sockets to the `Dispatcher`, which round-robins them across
-//!   worker inboxes and wakes the chosen worker with one byte on its
-//!   loopback wake socket.
+//! * **Accepting happens in the workers.** The nonblocking listener
+//!   sits in one worker's epoll set at a time. That worker accepts one
+//!   connection, runs the admission policy both engines share (the
+//!   `max_conns` claim, or a refusal `ERR`), and passes the listener to
+//!   the next worker's set, so connection *i* lands on worker
+//!   *i* mod `workers`. There is no accept thread and no handoff queue.
 //! * **Workers** own everything per-connection: the nonblocking
 //!   socket, the [`Connection`](crate::Connection) state machine, the
 //!   partial-write carryover cursor, and the read-deadline entry on a
-//!   lazy timer wheel (`wheel.rs`). No locks are held while serving; the
-//!   only cross-thread touchpoints are the inbox mutex (at admission)
-//!   and the shared namespace/gauge atomics the blocking server
-//!   already used.
+//!   lazy timer wheel (`wheel.rs`). No locks are held while serving;
+//!   the only cross-thread touchpoints are the listener pass (one
+//!   `epoll_ctl` on the next worker's set) and the shared
+//!   namespace/gauge atomics.
+//! * **Shutdown** writes one byte into a `UnixStream` pair whose other
+//!   end sits in every worker's epoll set. Nobody drains it, so it
+//!   stays readable and wakes every worker at once.
 //!
 //! On platforms without the shim (anything but Linux on
-//! x86_64/aarch64) the reactor engines report themselves unsupported
-//! and `ReactorPool::spawn` fails cleanly; the caller keeps the
+//! x86_64/aarch64) the `epoll` engine reports itself unsupported and
+//! `ReactorPool::spawn` fails cleanly; the caller keeps the
 //! thread-per-connection engine instead.
 
 pub(crate) mod wheel;
@@ -42,25 +45,18 @@ pub(crate) mod sys;
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod worker;
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+pub(crate) use worker::ReactorPool;
 
 use std::fmt;
-use std::io::{self, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-use rtas_obs::{Counter, FlightRecorder};
-
-use crate::conn::ConnGauges;
-use crate::metrics::SvcMetrics;
-use crate::namespace::Namespace;
 
 /// Which connection-serving engine a server runs.
 ///
-/// `epoll` and `poll` are the reactor engines (many connections per
-/// worker; see the [module docs](self)); `threads` is the original
+/// `epoll` is the reactor (many connections per worker; see the
+/// [module docs](self)); `threads` is the original
 /// thread-per-connection design, kept both as the portable fallback
 /// and as the behavioral reference the reactor is tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,16 +64,14 @@ pub enum Engine {
     /// Readiness via `epoll(7)`: O(ready) waits, the default on
     /// supported platforms.
     Epoll,
-    /// Readiness via `poll(2)`: O(registered) waits; the simpler
-    /// reference engine.
-    Poll,
-    /// One blocking handler thread per connection.
+    /// One blocking accept thread, one blocking handler thread per
+    /// connection.
     Threads,
 }
 
 impl Engine {
-    /// Whether this build has the syscall shim the reactor engines
-    /// need (Linux on x86_64 or aarch64).
+    /// Whether this build has the syscall shim the `epoll` engine
+    /// needs (Linux on x86_64 or aarch64).
     pub const SHIM_SUPPORTED: bool = cfg!(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
@@ -93,21 +87,19 @@ impl Engine {
         }
     }
 
-    /// Parse a `--engine` value (`epoll` | `poll` | `threads`).
+    /// Parse a `--engine` value (`epoll` | `threads`).
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "epoll" => Some(Engine::Epoll),
-            "poll" => Some(Engine::Poll),
             "threads" => Some(Engine::Threads),
             _ => None,
         }
     }
 
-    /// The CLI/report spelling (`epoll` | `poll` | `threads`).
+    /// The CLI/report spelling (`epoll` | `threads`).
     pub fn label(self) -> &'static str {
         match self {
             Engine::Epoll => "epoll",
-            Engine::Poll => "poll",
             Engine::Threads => "threads",
         }
     }
@@ -131,173 +123,36 @@ impl fmt::Display for Engine {
     }
 }
 
-/// The accept side's handle to the workers: round-robin admission
-/// into per-worker inboxes, one wake byte per handoff.
-#[derive(Debug)]
-pub(crate) struct Dispatcher {
-    inboxes: Vec<Arc<Mutex<Vec<TcpStream>>>>,
-    wakers: Vec<TcpStream>,
-    rr: AtomicUsize,
-    /// `reactor.wake_writes` — every nudge byte written to a worker's
-    /// wake socket (handoffs and shutdown broadcasts alike).
-    wake_writes: Arc<Counter>,
-}
-
-impl Dispatcher {
-    /// Hand an accepted (already `max_conns`-claimed) socket to a
-    /// worker. Never blocks beyond the inbox mutex.
-    pub(crate) fn dispatch(&self, stream: TcpStream) {
-        let at = self.rr.fetch_add(1, Ordering::Relaxed) % self.inboxes.len();
-        {
-            let mut inbox = match self.inboxes[at].lock() {
-                Ok(inbox) => inbox,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            inbox.push(stream);
-        }
-        // A nonblocking one-byte nudge; WouldBlock means wakeups are
-        // already queued, which is just as good.
-        let mut waker: &TcpStream = &self.wakers[at];
-        self.wake_writes.inc();
-        let _ = waker.write_all(&[1u8]);
-    }
-
-    /// Nudge every worker (shutdown: each rechecks the stop flag).
-    fn wake_all(&self) {
-        for waker in &self.wakers {
-            let mut waker: &TcpStream = waker;
-            self.wake_writes.inc();
-            let _ = waker.write_all(&[1u8]);
-        }
-    }
-}
-
-/// A running worker pool plus its dispatcher — what `Server` holds
-/// when an reactor engine is selected.
-#[derive(Debug)]
-pub(crate) struct ReactorPool {
-    dispatcher: Arc<Dispatcher>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ReactorPool {
-    /// Build `workers` reactor workers for `engine`. Fails cleanly if
-    /// the engine is unsupported in this build or poller/wake-socket
-    /// setup fails — nothing is left running on error.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn spawn(
-        engine: Engine,
-        workers: usize,
-        namespace: &Arc<Namespace>,
-        gauges: &Arc<ConnGauges>,
-        metrics: &Arc<SvcMetrics>,
-        recorder: &Arc<FlightRecorder>,
-        stop: &Arc<AtomicBool>,
-        read_timeout: Option<Duration>,
-    ) -> io::Result<ReactorPool> {
-        if !engine.supported() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!(
-                    "engine '{engine}' needs the Linux x86_64/aarch64 syscall shim; \
-                     use --engine threads on this platform"
-                ),
-            ));
-        }
-        spawn_impl(
-            engine,
-            workers.max(1),
-            namespace,
-            gauges,
-            metrics,
-            recorder,
-            stop,
-            read_timeout,
-        )
-    }
-
-    /// The accept loops' admission handle.
-    pub(crate) fn dispatcher(&self) -> Arc<Dispatcher> {
-        Arc::clone(&self.dispatcher)
-    }
-
-    /// Wake every worker and join them. The caller must have raised
-    /// the stop flag first; workers close their connections on exit.
-    pub(crate) fn join(self) {
-        self.dispatcher.wake_all();
-        for handle in self.workers {
-            let _ = handle.join();
-        }
-    }
-}
-
-#[cfg(all(
+/// Off the shim no reactor can be built, so a pool never exists.
+#[cfg(not(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-#[allow(clippy::too_many_arguments)]
-fn spawn_impl(
-    engine: Engine,
-    workers: usize,
-    namespace: &Arc<Namespace>,
-    gauges: &Arc<ConnGauges>,
-    metrics: &Arc<SvcMetrics>,
-    recorder: &Arc<FlightRecorder>,
-    stop: &Arc<AtomicBool>,
-    read_timeout: Option<Duration>,
-) -> io::Result<ReactorPool> {
-    // Build every worker before spawning any thread: a mid-sequence
-    // failure (fd pressure) must abort cleanly with nothing running.
-    let mut built = Vec::with_capacity(workers);
-    let mut inboxes = Vec::with_capacity(workers);
-    let mut wakers = Vec::with_capacity(workers);
-    for index in 0..workers {
-        let (wake_rx, wake_tx) = worker::wake_pair()?;
-        let inbox = Arc::new(Mutex::new(Vec::new()));
-        built.push(worker::Worker::new(
-            engine,
-            index,
-            wake_rx,
-            Arc::clone(&inbox),
-            Arc::clone(namespace),
-            Arc::clone(gauges),
-            Arc::clone(metrics),
-            Arc::clone(recorder),
-            Arc::clone(stop),
-            read_timeout,
-        )?);
-        inboxes.push(inbox);
-        wakers.push(wake_tx);
-    }
-    let handles = built
-        .into_iter()
-        .map(|w| std::thread::spawn(move || w.run()))
-        .collect();
-    Ok(ReactorPool {
-        dispatcher: Arc::new(Dispatcher {
-            inboxes,
-            wakers,
-            rr: AtomicUsize::new(0),
-            wake_writes: Arc::clone(&metrics.wake_writes),
-        }),
-        workers: handles,
-    })
-}
+)))]
+#[derive(Debug)]
+pub(crate) enum ReactorPool {}
 
 #[cfg(not(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-#[allow(clippy::too_many_arguments)]
-fn spawn_impl(
-    _engine: Engine,
-    _workers: usize,
-    _namespace: &Arc<Namespace>,
-    _gauges: &Arc<ConnGauges>,
-    _metrics: &Arc<SvcMetrics>,
-    _recorder: &Arc<FlightRecorder>,
-    _stop: &Arc<AtomicBool>,
-    _read_timeout: Option<Duration>,
-) -> io::Result<ReactorPool> {
-    unreachable!("Engine::supported() gates reactor spawn off-shim")
+impl ReactorPool {
+    pub(crate) fn spawn(
+        _listener: std::net::TcpListener,
+        _workers: usize,
+        _shared: &crate::server::Shared,
+    ) -> std::io::Result<ReactorPool> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "engine 'epoll' needs the Linux x86_64/aarch64 syscall shim; \
+             use --engine threads on this platform",
+        ))
+    }
+
+    pub(crate) fn shutdown(self) {
+        match self {}
+    }
+
+    pub(crate) fn join(self) {
+        match self {}
+    }
 }

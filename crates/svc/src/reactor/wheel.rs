@@ -114,8 +114,8 @@ impl TimerWheel {
 
     /// How long `epoll_wait` may sleep before the earliest possibly-due
     /// entry: the end of the first non-empty slot's tick. `None` when
-    /// the wheel is empty (sleep indefinitely; admissions wake the
-    /// worker through its wake socket).
+    /// the wheel is empty (sleep indefinitely; a new connection or
+    /// shutdown wakes the worker through epoll).
     pub(crate) fn next_timeout(&self, now: Instant) -> Option<Duration> {
         if self.len == 0 {
             return None;

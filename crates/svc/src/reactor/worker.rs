@@ -1,53 +1,62 @@
-//! The reactor worker: one thread, one poller, many connections.
+//! The reactor worker: one thread, one epoll set, many connections.
 //!
-//! Each worker owns a [`Poller`] (epoll instance or a `poll(2)`
-//! registry), a slab of [`ConnSlot`]s indexed by the poller token, and
-//! an optional [`TimerWheel`] for read deadlines. Accept threads hand
-//! it fresh sockets through a mutexed inbox and wake it with one byte
-//! on its wake socket (a loopback TCP pair — std exposes no pipe or
-//! eventfd, and the shim stays minimal).
+//! Each worker owns an epoll instance, a slab of [`ConnSlot`]s indexed
+//! by the epoll token, and an optional [`TimerWheel`] for read
+//! deadlines. Two more tokens sit beside the connections: the
+//! listener, which is in exactly one worker's set at a time and moves
+//! to the next worker's set after each admitted connection, and the
+//! pool's stop socket, which is in every set.
 //!
-//! The loop body is: wait for readiness → serve ready connections →
-//! admit inbox arrivals → sweep the timer wheel. Serving a readable
-//! connection reads until `WouldBlock` (level-triggered interest makes
-//! stopping early safe), feeds every chunk to the [`Connection`] state
-//! machine, then flushes its coalesced output buffer. A partial write
-//! leaves `write_pos` carried across wakeups and turns on write
-//! interest — per-connection backpressure without threads. Interest is
-//! downgraded back to read-only the moment the buffer drains, so an
-//! idle connection costs nothing but its slot.
+//! The loop body is: wait for readiness → accept (if this worker holds
+//! the listener) and serve ready connections → sweep the timer wheel.
+//! Serving a readable connection reads until `WouldBlock`
+//! (level-triggered interest makes stopping early safe), feeds every
+//! chunk to the [`Connection`] state machine, then flushes its
+//! coalesced output buffer. A partial write leaves `write_pos` carried
+//! across wakeups and turns on write interest — per-connection
+//! backpressure without threads. Interest is downgraded back to
+//! read-only the moment the buffer drains, so an idle connection costs
+//! nothing but its slot.
+//!
+//! An accept error other than `WouldBlock`/`Interrupted` (EMFILE under
+//! fd exhaustion, say) takes the level-triggered listener out of the
+//! set, so it cannot report itself ready in a hot loop; the worker
+//! re-adds it once [`ACCEPT_BACKOFF`] has passed, folded into its wait
+//! timeout.
 //!
 //! Lifecycle edges mirror the blocking server exactly (`tests/wire.rs`
 //! pins them): a poisoned stream (framing violation) drains its
 //! pending `ERR` before closing; EOF closes silently but only after
 //! buffered responses flush; a read-deadline expiry answers
 //! best-effort `ERR "read deadline expired"` and closes; every close
-//! releases its `max_conns` slot via [`ConnGauges::disconnected`].
+//! releases its `max_conns` slot via
+//! [`ConnGauges::disconnected`](crate::ConnGauges::disconnected).
 //!
-//! Steady state allocates nothing: the read chunk, event buffers,
-//! wheel slots, inbox swap vector, and each connection's decoder and
-//! output buffers are all reused (`tests/alloc_reactor.rs` enforces
-//! this end to end).
+//! Steady state allocates nothing: the read chunk, event buffer, wheel
+//! slots, and each connection's decoder and output buffers are all
+//! reused (`tests/alloc_reactor.rs` enforces this end to end).
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rtas_obs::{EventKind, FlightRecorder, Lane};
+use rtas_obs::{EventKind, Lane};
 
-use crate::conn::{ConnGauges, ConnObs, ConnStatus, Connection};
-use crate::metrics::SvcMetrics;
-use crate::namespace::Namespace;
+use crate::conn::{ConnObs, ConnStatus, Connection};
 use crate::protocol::{frame_response, Response};
+use crate::reactor::sys::{self, EpollFd};
 use crate::reactor::wheel::TimerWheel;
-use crate::reactor::{sys, Engine};
+use crate::server::{Shared, ACCEPT_BACKOFF};
 
-/// Poller token reserved for the worker's wake socket.
-const WAKE_TOKEN: u64 = u64::MAX;
+/// Epoll token of the pool's stop socket.
+const STOP_TOKEN: u64 = u64::MAX;
+
+/// Epoll token of the listener.
+const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
 /// Bytes ingested per `read` call — same bulk figure as the blocking
 /// server: one syscall swallows a whole pipelined burst.
@@ -58,175 +67,79 @@ const READ_CHUNK: usize = 64 * 1024;
 /// next (immediate) wait.
 const EVENTS_PER_WAIT: usize = 1024;
 
-/// One readiness report, engine-neutral. There is no `writable`
-/// flag: the worker attempts a flush on *every* event for a
-/// connection, so write readiness only needs the token delivered.
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    token: u64,
-    readable: bool,
-}
+/// The shutdown wake-up: one byte written into the first end makes the
+/// second end readable, and the second end sits in every worker's
+/// epoll set, never drained. The pool and every worker hold the pair,
+/// so neither end closes — which would silently drop it from the sets
+/// — while a worker still waits on it.
+type StopPair = Arc<(UnixStream, UnixStream)>;
 
-/// The engine-specific readiness source. Both variants expose the same
-/// four verbs; both reuse their buffers so waiting allocates nothing.
+/// A running worker pool — what `Server` holds under the `epoll`
+/// engine.
 #[derive(Debug)]
-enum Poller {
-    /// `epoll`: the kernel holds the interest set; waits are O(ready).
-    Epoll {
-        ep: sys::EpollFd,
-        buf: Vec<sys::EpollEvent>,
-    },
-    /// `poll(2)`: the interest set lives here and is re-submitted on
-    /// every wait — O(registered) per wait, kept as the portable
-    /// reference engine and A/B check for the epoll path.
-    Poll {
-        fds: Vec<sys::PollFd>,
-        tokens: Vec<u64>,
-        scratch: Vec<sys::PollFd>,
-    },
+pub(crate) struct ReactorPool {
+    stop: StopPair,
+    workers: Vec<JoinHandle<()>>,
 }
 
-impl Poller {
-    fn new(engine: Engine) -> io::Result<Poller> {
-        match engine {
-            Engine::Epoll => Ok(Poller::Epoll {
-                ep: sys::EpollFd::new()?,
-                buf: Vec::with_capacity(EVENTS_PER_WAIT),
-            }),
-            Engine::Poll => Ok(Poller::Poll {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-                scratch: Vec::new(),
-            }),
-            Engine::Threads => Err(io::Error::other("the threads engine has no poller")),
-        }
+impl ReactorPool {
+    /// Start `workers` reactor workers accepting from `listener`.
+    /// Every epoll set is built and registered before any thread
+    /// starts, so a failure (fd pressure) leaves nothing running.
+    pub(crate) fn spawn(
+        listener: TcpListener,
+        workers: usize,
+        shared: &Shared,
+    ) -> io::Result<ReactorPool> {
+        listener.set_nonblocking(true)?;
+        let stop: StopPair = Arc::new(UnixStream::pair()?);
+        let polls = (0..workers.max(1))
+            .map(|_| {
+                let ep = EpollFd::new()?;
+                ep.ctl(
+                    sys::EPOLL_CTL_ADD,
+                    stop.1.as_raw_fd(),
+                    sys::EPOLLIN,
+                    STOP_TOKEN,
+                )?;
+                Ok(ep)
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        polls[0].ctl(
+            sys::EPOLL_CTL_ADD,
+            listener.as_raw_fd(),
+            sys::EPOLLIN,
+            LISTEN_TOKEN,
+        )?;
+        let polls: Arc<[EpollFd]> = polls.into();
+        let listener = Arc::new(listener);
+        let workers = (0..polls.len())
+            .map(|index| {
+                let worker = Worker::new(
+                    index,
+                    Arc::clone(&polls),
+                    Arc::clone(&listener),
+                    Arc::clone(&stop),
+                    shared.clone(),
+                );
+                std::thread::spawn(move || worker.run())
+            })
+            .collect();
+        Ok(ReactorPool { stop, workers })
     }
 
-    fn interest_bits(readable: bool, writable: bool) -> u32 {
-        let mut bits = 0;
-        if readable {
-            bits |= sys::EPOLLIN;
-        }
-        if writable {
-            bits |= sys::EPOLLOUT;
-        }
-        bits
+    /// Wake every worker through the stop socket and join them;
+    /// workers close their connections on exit.
+    pub(crate) fn shutdown(self) {
+        let _ = (&self.stop.0).write_all(&[1]);
+        self.join();
     }
 
-    fn poll_bits(readable: bool, writable: bool) -> i16 {
-        let mut bits = 0;
-        if readable {
-            bits |= sys::POLLIN;
+    /// Wait for the workers (they exit only on shutdown).
+    pub(crate) fn join(self) {
+        for handle in self.workers {
+            let _ = handle.join();
         }
-        if writable {
-            bits |= sys::POLLOUT;
-        }
-        bits
-    }
-
-    fn register(
-        &mut self,
-        fd: RawFd,
-        token: u64,
-        readable: bool,
-        writable: bool,
-    ) -> io::Result<()> {
-        match self {
-            Poller::Epoll { ep, .. } => ep.ctl(
-                sys::EPOLL_CTL_ADD,
-                fd,
-                Self::interest_bits(readable, writable),
-                token,
-            ),
-            Poller::Poll { fds, tokens, .. } => {
-                fds.push(sys::PollFd {
-                    fd,
-                    events: Self::poll_bits(readable, writable),
-                    revents: 0,
-                });
-                tokens.push(token);
-                Ok(())
-            }
-        }
-    }
-
-    fn modify(&mut self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
-        match self {
-            Poller::Epoll { ep, .. } => ep.ctl(
-                sys::EPOLL_CTL_MOD,
-                fd,
-                Self::interest_bits(readable, writable),
-                token,
-            ),
-            Poller::Poll { fds, .. } => {
-                if let Some(entry) = fds.iter_mut().find(|e| e.fd == fd) {
-                    entry.events = Self::poll_bits(readable, writable);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            Poller::Epoll { ep, .. } => ep.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0),
-            Poller::Poll { fds, tokens, .. } => {
-                if let Some(at) = fds.iter().position(|e| e.fd == fd) {
-                    fds.swap_remove(at);
-                    tokens.swap_remove(at);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Wait up to `timeout_ms` (< 0: indefinitely) and decode readiness
-    /// into `events`. An `EINTR` simply yields zero events. Error and
-    /// hangup conditions are folded into both readiness flags so the
-    /// next read/write discovers and classifies them.
-    fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-        events.clear();
-        match self {
-            Poller::Epoll { ep, buf } => {
-                match ep.wait(buf, timeout_ms) {
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(()),
-                    Err(e) => return Err(e),
-                }
-                for ev in buf.iter() {
-                    let bits = { ev.events };
-                    let trouble = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
-                    events.push(Event {
-                        token: { ev.data },
-                        readable: bits & sys::EPOLLIN != 0 || trouble,
-                    });
-                }
-            }
-            Poller::Poll {
-                fds,
-                tokens,
-                scratch,
-            } => {
-                scratch.clear();
-                scratch.extend_from_slice(fds);
-                match sys::poll(scratch, timeout_ms) {
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(()),
-                    Err(e) => return Err(e),
-                }
-                for (entry, &token) in scratch.iter().zip(tokens.iter()) {
-                    if entry.revents == 0 {
-                        continue;
-                    }
-                    let trouble = entry.revents & (sys::POLLERR | sys::POLLHUP) != 0;
-                    events.push(Event {
-                        token,
-                        readable: entry.revents & sys::POLLIN != 0 || trouble,
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -260,43 +173,30 @@ enum Verdict {
     Close,
 }
 
-/// A loopback TCP pair: `rx` lives in the worker's poller, `tx` with
-/// the dispatcher. One written byte = one wakeup (coalesced freely).
-pub(super) fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let (rx, peer) = listener.accept()?;
-    // An unrelated local connector racing onto the port would wedge
-    // the pair; verify we accepted our own connect.
-    if peer != tx.local_addr()? {
-        return Err(io::Error::other("wake pair cross-connected"));
-    }
-    rx.set_nonblocking(true)?;
-    tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    Ok((rx, tx))
-}
-
-/// Everything one worker thread owns. Built on the spawning thread so
-/// poller creation errors surface from `Server::spawn`, then moved.
+/// Everything one worker thread owns. Built on the spawning thread,
+/// then moved.
 #[derive(Debug)]
-pub(super) struct Worker {
-    poller: Poller,
-    /// This worker's position in the pool — selects its flight-recorder
-    /// lane and its `reactor.worker<k>.*` gauges.
+struct Worker {
+    /// This worker's position in the pool — its epoll set is
+    /// `polls[index]`, and it selects the flight-recorder lane and the
+    /// `reactor.worker<k>.*` gauges.
     index: usize,
-    wake_rx: TcpStream,
-    inbox: Arc<Mutex<Vec<TcpStream>>>,
-    namespace: Arc<Namespace>,
-    gauges: Arc<ConnGauges>,
-    metrics: Arc<SvcMetrics>,
-    recorder: Arc<FlightRecorder>,
+    /// Every worker's epoll set: passing the listener on is an
+    /// `epoll_ctl` on the next worker's set.
+    polls: Arc<[EpollFd]>,
+    events: Vec<sys::EpollEvent>,
+    listener: Arc<TcpListener>,
+    /// Set while accepting is paused after an accept error: the
+    /// listener is out of every set until this worker re-adds it to
+    /// its own at this instant.
+    accept_resume: Option<Instant>,
+    /// Held only to keep the stop socket open (see [`StopPair`]).
+    _stop: StopPair,
+    shared: Shared,
     /// Serve calls on this worker — the sequence the read/write stage
     /// sampling gate runs on (per-frame stages sample on the
     /// connection's own frame counter instead).
     serves: u64,
-    stop: Arc<AtomicBool>,
-    read_timeout: Option<Duration>,
     wheel: Option<TimerWheel>,
     slab: Vec<Option<ConnSlot>>,
     /// Free slab indices, reused LIFO.
@@ -304,88 +204,89 @@ pub(super) struct Worker {
     /// Per-index generation, bumped on close to invalidate wheel
     /// entries pointing at a recycled slot.
     gens: Vec<u32>,
-    events: Vec<Event>,
     chunk: Vec<u8>,
-    /// Swap target for the inbox mutex — admissions move the arrival
-    /// vector wholesale instead of popping under the lock.
-    incoming: Vec<TcpStream>,
     /// Scratch for wheel sweeps.
     due: Vec<(u32, u32)>,
     /// The pre-framed deadline-expiry `ERR`, written best-effort.
     deadline_err: Vec<u8>,
 }
 
+/// Epoll interest bits for a connection.
+fn interest(read: bool, write: bool) -> u32 {
+    let mut bits = 0;
+    if read {
+        bits |= sys::EPOLLIN;
+    }
+    if write {
+        bits |= sys::EPOLLOUT;
+    }
+    bits
+}
+
 impl Worker {
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn new(
-        engine: Engine,
+    fn new(
         index: usize,
-        wake_rx: TcpStream,
-        inbox: Arc<Mutex<Vec<TcpStream>>>,
-        namespace: Arc<Namespace>,
-        gauges: Arc<ConnGauges>,
-        metrics: Arc<SvcMetrics>,
-        recorder: Arc<FlightRecorder>,
-        stop: Arc<AtomicBool>,
-        read_timeout: Option<Duration>,
-    ) -> io::Result<Worker> {
-        let mut poller = Poller::new(engine)?;
-        poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, true, false)?;
-        let now = Instant::now();
+        polls: Arc<[EpollFd]>,
+        listener: Arc<TcpListener>,
+        stop: StopPair,
+        shared: Shared,
+    ) -> Worker {
         let mut deadline_err = Vec::new();
         frame_response(
             &Response::Err("read deadline expired".to_string()),
             &mut deadline_err,
         );
-        Ok(Worker {
-            poller,
+        Worker {
             index,
-            wake_rx,
-            inbox,
-            namespace,
-            gauges,
-            metrics,
-            recorder,
+            polls,
+            events: Vec::with_capacity(EVENTS_PER_WAIT),
+            listener,
+            accept_resume: None,
+            _stop: stop,
+            wheel: shared
+                .read_timeout
+                .map(|t| TimerWheel::new(t, Instant::now())),
+            shared,
             serves: 0,
-            stop,
-            read_timeout,
-            wheel: read_timeout.map(|t| TimerWheel::new(t, now)),
             slab: Vec::new(),
             free: Vec::new(),
             gens: Vec::new(),
-            events: Vec::with_capacity(EVENTS_PER_WAIT),
             chunk: vec![0u8; READ_CHUNK],
-            incoming: Vec::new(),
             due: Vec::new(),
             deadline_err,
-        })
+        }
     }
 
-    /// The event loop; returns only when the stop flag is up.
-    pub(super) fn run(mut self) {
+    /// This worker's own epoll set.
+    fn epoll(&self) -> &EpollFd {
+        &self.polls[self.index]
+    }
+
+    /// The event loop; returns once the stop socket turns readable.
+    fn run(mut self) {
         loop {
-            if self.stop.load(Ordering::SeqCst) {
-                self.teardown();
-                return;
-            }
-            let timeout_ms = match self
-                .wheel
-                .as_ref()
-                .and_then(|w| w.next_timeout(Instant::now()))
-            {
+            let now = Instant::now();
+            let wheel_due = self.wheel.as_ref().and_then(|w| w.next_timeout(now));
+            let resume_due = self
+                .accept_resume
+                .map(|at| at.saturating_duration_since(now));
+            let timeout_ms = match [wheel_due, resume_due].into_iter().flatten().min() {
                 // Ceil to a whole ms so a deadline 0.3ms out doesn't
                 // busy-spin on zero-timeout waits.
                 Some(d) => i32::try_from(d.as_millis().saturating_add(1)).unwrap_or(i32::MAX),
                 None => -1,
             };
-            let Worker { poller, events, .. } = &mut self;
-            if poller.wait(events, timeout_ms).is_err() {
-                // A failed wait (e.g. fd pressure) must not hot-loop.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
+            match self.polls[self.index].wait(&mut self.events, timeout_ms) {
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    // A failed wait (e.g. fd pressure) must not hot-loop.
+                    std::thread::sleep(Duration::from_millis(10));
+                    continue;
+                }
             }
             if !self.events.is_empty() {
-                self.recorder.record(
+                self.shared.recorder.record(
                     Lane::Worker(self.index),
                     EventKind::ReadinessWakeup,
                     self.events.len() as u32,
@@ -394,26 +295,98 @@ impl Worker {
                 );
             }
             for at in 0..self.events.len() {
-                let ev = self.events[at];
-                if ev.token == WAKE_TOKEN {
-                    self.drain_wake();
-                } else {
-                    self.serve(ev);
+                let sys::EpollEvent {
+                    events: bits,
+                    data: token,
+                } = self.events[at];
+                match token {
+                    STOP_TOKEN => {
+                        self.teardown();
+                        return;
+                    }
+                    LISTEN_TOKEN => self.accept(),
+                    // Error and hangup conditions count as readable so
+                    // the next read discovers and classifies them.
+                    _ => self.serve(
+                        token as usize,
+                        bits & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0,
+                    ),
                 }
             }
-            self.admit_pending();
+            self.resume_accepting();
             self.sweep_deadlines();
         }
     }
 
+    /// Accept one connection off the listener this worker holds. An
+    /// admitted connection gets a slot here, and the listener moves on
+    /// to the next worker's set, so connections round-robin across the
+    /// pool; a refused one leaves the listener where it is.
+    fn accept(&mut self) {
+        match self.listener.accept() {
+            Ok((stream, _)) => {
+                if let Some(stream) = self.shared.admit(stream) {
+                    self.register(stream);
+                    self.pass_listener();
+                }
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => {
+                let _ = self
+                    .epoll()
+                    .ctl(sys::EPOLL_CTL_DEL, self.listener.as_raw_fd(), 0, 0);
+                self.accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
+            }
+        }
+    }
+
+    /// Move the listener from this worker's set to the next worker's.
+    fn pass_listener(&mut self) {
+        let next = (self.index + 1) % self.polls.len();
+        if next == self.index {
+            return;
+        }
+        let fd = self.listener.as_raw_fd();
+        let _ = self.epoll().ctl(sys::EPOLL_CTL_DEL, fd, 0, 0);
+        if self.polls[next]
+            .ctl(sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN, LISTEN_TOKEN)
+            .is_err()
+        {
+            // Keep the listener rather than lose it: re-add it here.
+            self.accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
+        }
+    }
+
+    /// Re-add the listener to this worker's set once the accept
+    /// back-off has passed.
+    fn resume_accepting(&mut self) {
+        let Some(at) = self.accept_resume else {
+            return;
+        };
+        let now = Instant::now();
+        if now < at {
+            return;
+        }
+        let added = self.epoll().ctl(
+            sys::EPOLL_CTL_ADD,
+            self.listener.as_raw_fd(),
+            sys::EPOLLIN,
+            LISTEN_TOKEN,
+        );
+        self.accept_resume = added.is_err().then(|| now + ACCEPT_BACKOFF);
+    }
+
     /// Serve one ready connection: bulk-read and ingest while readable,
     /// then flush and settle interest.
-    fn serve(&mut self, ev: Event) {
-        let idx = ev.token as usize;
+    fn serve(&mut self, idx: usize, readable: bool) {
         // The read/write stage-timing gate: one decision per serve
         // call, on the worker's own serve sequence (per-frame stages
         // sample on the connection's frame counter inside `ingest_obs`).
-        let timed = self.recorder.enabled() && self.recorder.sample_hit(self.serves);
+        let timed = self.shared.recorder.enabled() && self.shared.recorder.sample_hit(self.serves);
         self.serves = self.serves.wrapping_add(1);
         let Some(slot) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
             // Closed earlier in this same batch; stale report.
@@ -421,9 +394,9 @@ impl Worker {
         };
         let mut eof = false;
         let mut verdict = Verdict::Keep;
-        if ev.readable && !slot.draining {
+        if readable && !slot.draining {
             let t0 = if timed {
-                Some(self.recorder.now_ns())
+                Some(self.shared.recorder.now_ns())
             } else {
                 None
             };
@@ -436,14 +409,14 @@ impl Worker {
                     Ok(n) => {
                         slot.last_activity = Instant::now();
                         let obs = ConnObs {
-                            recorder: &self.recorder,
-                            metrics: &self.metrics,
+                            recorder: &self.shared.recorder,
+                            metrics: &self.shared.metrics,
                             lane: Lane::Worker(self.index),
                         };
                         let status = slot.conn.ingest_obs(
                             &self.chunk[..n],
-                            &self.namespace,
-                            &self.gauges,
+                            &self.shared.namespace,
+                            &self.shared.gauges,
                             Some(&obs),
                         );
                         if status == ConnStatus::Closed {
@@ -467,8 +440,8 @@ impl Worker {
                 }
             }
             if let Some(t0) = t0 {
-                let spent = self.recorder.now_ns().saturating_sub(t0);
-                self.metrics.stage_read.record(spent as f64);
+                let spent = self.shared.recorder.now_ns().saturating_sub(t0);
+                self.shared.metrics.stage_read.record(spent as f64);
             }
         }
         if verdict == Verdict::Close {
@@ -490,7 +463,7 @@ impl Worker {
             return;
         };
         let t0 = if timed && slot.write_pos < slot.conn.output().len() {
-            Some(self.recorder.now_ns())
+            Some(self.shared.recorder.now_ns())
         } else {
             None
         };
@@ -515,8 +488,8 @@ impl Worker {
             }
         }
         if let Some(t0) = t0 {
-            let spent = self.recorder.now_ns().saturating_sub(t0);
-            self.metrics.stage_write.record(spent as f64);
+            let spent = self.shared.recorder.now_ns().saturating_sub(t0);
+            self.shared.metrics.stage_write.record(spent as f64);
         }
         if verdict == Verdict::Keep {
             if slot.write_pos == slot.conn.output().len() {
@@ -532,7 +505,7 @@ impl Worker {
                     if slot.want_write {
                         // Backpressure released: the carried output
                         // drained and write interest comes off.
-                        self.recorder.record(
+                        self.shared.recorder.record(
                             Lane::Worker(self.index),
                             EventKind::BackpressureOff,
                             idx as u32,
@@ -542,19 +515,22 @@ impl Worker {
                     }
                     let (read, write) = (true, false);
                     if (slot.want_read, slot.want_write) != (read, write) {
-                        let _ =
-                            self.poller
-                                .modify(slot.stream.as_raw_fd(), idx as u64, read, write);
+                        let _ = self.polls[self.index].ctl(
+                            sys::EPOLL_CTL_MOD,
+                            slot.stream.as_raw_fd(),
+                            interest(read, write),
+                            idx as u64,
+                        );
                         (slot.want_read, slot.want_write) = (read, write);
                     }
                 }
             } else {
                 // Backpressure: output remains. EOF here still waits —
                 // buffered responses belong to the client.
-                self.metrics.carryovers.inc();
+                self.shared.metrics.carryovers.inc();
                 if !slot.want_write {
                     let carried = slot.conn.output().len() - slot.write_pos;
-                    self.recorder.record(
+                    self.shared.recorder.record(
                         Lane::Worker(self.index),
                         EventKind::BackpressureOn,
                         idx as u32,
@@ -567,9 +543,12 @@ impl Worker {
                 }
                 let (read, write) = (!slot.draining, true);
                 if (slot.want_read, slot.want_write) != (read, write) {
-                    let _ = self
-                        .poller
-                        .modify(slot.stream.as_raw_fd(), idx as u64, read, write);
+                    let _ = self.polls[self.index].ctl(
+                        sys::EPOLL_CTL_MOD,
+                        slot.stream.as_raw_fd(),
+                        interest(read, write),
+                        idx as u64,
+                    );
                     (slot.want_read, slot.want_write) = (read, write);
                 }
             }
@@ -583,52 +562,26 @@ impl Worker {
     /// wheel entries), return the `max_conns` claim, drop the socket.
     fn close(&mut self, idx: usize) {
         if let Some(slot) = self.slab[idx].take() {
-            let _ = self.poller.deregister(slot.stream.as_raw_fd());
+            let _ = self
+                .epoll()
+                .ctl(sys::EPOLL_CTL_DEL, slot.stream.as_raw_fd(), 0, 0);
             self.gens[idx] = self.gens[idx].wrapping_add(1);
             self.free.push(idx);
-            self.gauges.disconnected();
-            if let Some(live) = self.metrics.slab_live.get(self.index) {
+            self.shared.gauges.disconnected();
+            if let Some(live) = self.shared.metrics.slab_live.get(self.index) {
                 live.sub(1);
             }
         }
     }
 
-    /// Swallow queued wake bytes. The actual work (inbox, stop flag)
-    /// is handled by the loop body right after event processing.
-    fn drain_wake(&mut self) {
-        let mut buf = [0u8; 64];
-        loop {
-            match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => return, // dispatcher gone; stop flag decides
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return, // WouldBlock: drained
-            }
-        }
-    }
-
-    /// Move arrivals out of the inbox and register each one. The
-    /// accept loop already claimed their `max_conns` slots.
-    fn admit_pending(&mut self) {
-        {
-            let mut inbox = match self.inbox.lock() {
-                Ok(inbox) => inbox,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            std::mem::swap(&mut *inbox, &mut self.incoming);
-        }
-        // Pop (not drain/take) so `incoming` keeps its capacity for
-        // the next swap; batch-internal order is irrelevant.
-        while let Some(stream) = self.incoming.pop() {
-            self.admit(stream);
-        }
-    }
-
-    fn admit(&mut self, stream: TcpStream) {
+    /// Give an admitted connection a slab slot and read interest. Its
+    /// `max_conns` slot is already claimed, so every failure here
+    /// releases it.
+    fn register(&mut self, stream: TcpStream) {
         // Same transport posture as the blocking server: coalesced
         // burst writes must leave immediately, reads must not block.
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-            self.gauges.disconnected();
+            self.shared.gauges.disconnected();
             return;
         }
         let idx = match self.free.pop() {
@@ -640,17 +593,22 @@ impl Worker {
             }
         };
         if self
-            .poller
-            .register(stream.as_raw_fd(), idx as u64, true, false)
+            .epoll()
+            .ctl(
+                sys::EPOLL_CTL_ADD,
+                stream.as_raw_fd(),
+                interest(true, false),
+                idx as u64,
+            )
             .is_err()
         {
             self.free.push(idx);
-            self.gauges.disconnected();
+            self.shared.gauges.disconnected();
             return;
         }
         let now = Instant::now();
         let gen = self.gens[idx];
-        if let (Some(wheel), Some(timeout)) = (self.wheel.as_mut(), self.read_timeout) {
+        if let (Some(wheel), Some(timeout)) = (self.wheel.as_mut(), self.shared.read_timeout) {
             wheel.schedule(idx as u32, gen, now + timeout);
         }
         self.slab[idx] = Some(ConnSlot {
@@ -663,7 +621,7 @@ impl Worker {
             last_activity: now,
             gen,
         });
-        if let Some(live) = self.metrics.slab_live.get(self.index) {
+        if let Some(live) = self.shared.metrics.slab_live.get(self.index) {
             live.add(1);
         }
     }
@@ -672,7 +630,7 @@ impl Worker {
     /// overdue ones with a best-effort `ERR`, exactly like the
     /// blocking server's read-timeout path.
     fn sweep_deadlines(&mut self) {
-        let Some(timeout) = self.read_timeout else {
+        let Some(timeout) = self.shared.read_timeout else {
             return;
         };
         let Some(mut wheel) = self.wheel.take() else {
@@ -706,13 +664,13 @@ impl Worker {
                 self.close(idx);
             }
         }
-        if let Some(entries) = self.metrics.wheel_entries.get(self.index) {
+        if let Some(entries) = self.shared.metrics.wheel_entries.get(self.index) {
             entries.set(wheel.len() as u64);
         }
         if surfaced > 0 {
             // Only sweeps that surfaced work are worth a ring slot —
             // an every-wakeup heartbeat would evict useful events.
-            self.recorder.record(
+            self.shared.recorder.record(
                 Lane::Worker(self.index),
                 EventKind::TimerSweep,
                 surfaced as u32,
@@ -723,22 +681,11 @@ impl Worker {
         self.wheel = Some(wheel);
     }
 
-    /// Shutdown: close every live connection and any arrival still in
-    /// the inbox — each carries a claimed `max_conns` slot to return.
+    /// Shutdown: close every live connection, returning each one's
+    /// `max_conns` slot.
     fn teardown(&mut self) {
         for idx in 0..self.slab.len() {
             self.close(idx);
-        }
-        let pending = {
-            let mut inbox = match self.inbox.lock() {
-                Ok(inbox) => inbox,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            std::mem::take(&mut *inbox)
-        };
-        for stream in pending {
-            drop(stream);
-            self.gauges.disconnected();
         }
     }
 }

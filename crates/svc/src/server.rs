@@ -1,27 +1,27 @@
-//! The std-only TCP server: sharded accept loops feeding either the
+//! The std-only TCP server: one bound listener feeding either the
 //! readiness-driven reactor (default) or one handler thread per
 //! connection, frames served strictly in order.
 //!
-//! `listeners` accept threads share one bound socket (via
-//! [`TcpListener::try_clone`]). What happens to an accepted connection
-//! depends on [`SvcConfig::engine`]:
+//! What accepts a connection depends on [`SvcConfig::engine`]:
 //!
-//! * [`Engine::Epoll`] / [`Engine::Poll`] (the default where the
-//!   [reactor](crate::reactor)'s syscall shim exists): the accepter
-//!   hands the socket to a bounded pool of [`SvcConfig::workers`]
-//!   reactor workers, each multiplexing thousands of nonblocking
-//!   connections over one readiness source.
-//! * [`Engine::Threads`]: the original design — each connection gets
-//!   its own blocking handler thread. Kept as the portable fallback
-//!   and as the behavioral reference.
+//! * [`Engine::Epoll`] (the default where the
+//!   [reactor](crate::reactor)'s syscall shim exists): the
+//!   [`SvcConfig::workers`] reactor workers accept in their own event
+//!   loops, passing the nonblocking listener from one worker to the
+//!   next after each accept, and each multiplexes thousands of
+//!   nonblocking connections over one epoll instance.
+//! * [`Engine::Threads`]: the original design — one blocking accept
+//!   thread, and each connection gets its own blocking handler thread.
+//!   Kept as the portable fallback and as the behavioral reference.
 //!
-//! Either way a connection is a [`Connection`] state machine — a
-//! reusable [`rtas::native::NativeRunner`] plus reusable frame buffers
-//! — so the steady-state request path performs no allocation beyond
-//! the protocol state machines (see `tests/alloc_steady.rs` and
-//! `tests/alloc_reactor.rs`). Requests on one connection are executed
-//! and answered **in order**, which is what makes client-side
-//! pipelining sound.
+//! Either way every accepted socket passes the same admission policy
+//! (`Shared::admit`), and a connection is a [`Connection`] state
+//! machine — a reusable [`rtas::native::NativeRunner`] plus reusable
+//! frame buffers — so the steady-state request path performs no
+//! allocation beyond the protocol state machines (see
+//! `tests/alloc_steady.rs` and `tests/alloc_reactor.rs`). Requests on
+//! one connection are executed and answered **in order**, which is what
+//! makes client-side pipelining sound.
 //!
 //! I/O is bulk: one large `read` ingests a whole pipelined burst, the
 //! [`Connection`] decodes and executes every complete frame in it, and
@@ -35,11 +35,11 @@
 //! carrying a bad request (unknown opcode, empty key, kind mismatch)
 //! get an `ERR` response and the connection stays usable.
 //!
-//! The accept loops are bounded: at most [`SvcConfig::max_conns`]
-//! connections are served concurrently; one beyond the ceiling gets a
-//! best-effort `ERR` frame and an immediate close, and the refusal is
-//! counted in the `STATS` gauges ([`crate::protocol::SvcStats::conns`]
-//! / [`refused`](crate::protocol::SvcStats::refused)).
+//! Admission is bounded: at most [`SvcConfig::max_conns`] connections
+//! are served concurrently; one beyond the ceiling gets a best-effort
+//! `ERR` frame and an immediate close, and the refusal is counted in
+//! the `STATS` gauges ([`crate::protocol::SvcStats::conns`] /
+//! [`refused`](crate::protocol::SvcStats::refused)).
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -55,7 +55,7 @@ use crate::conn::{ConnGauges, ConnObs, ConnStatus, Connection};
 use crate::metrics::SvcMetrics;
 use crate::namespace::Namespace;
 use crate::protocol::{frame_response, Response};
-use crate::reactor::{Dispatcher, Engine, ReactorPool};
+use crate::reactor::{Engine, ReactorPool};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -68,8 +68,6 @@ pub struct SvcConfig {
     pub capacity: usize,
     /// Algorithm backing every keyed object.
     pub backend: Backend,
-    /// Accept threads sharing the listening socket.
-    pub listeners: usize,
     /// Ceiling on live keys across all shards — first contact beyond it
     /// is refused, bounding server memory against key-churning clients
     /// (see [`Namespace::with_max_keys`]).
@@ -86,7 +84,7 @@ pub struct SvcConfig {
     /// thread forever. `None` (the default) waits indefinitely.
     pub read_timeout: Option<Duration>,
     /// Ceiling on concurrently served connections — the memory bound
-    /// for the reactor engines and the thread bound for the threads
+    /// for the `epoll` engine and the thread bound for the threads
     /// engine. A connection accepted at the ceiling is answered with a
     /// best-effort `ERR` naming the limit and closed immediately;
     /// refusals are counted in the `STATS` gauges.
@@ -95,9 +93,9 @@ pub struct SvcConfig {
     /// [`Engine::auto`]: `epoll` where the reactor's syscall shim
     /// exists, `threads` elsewhere.
     pub engine: Engine,
-    /// Reactor worker threads ([`Engine::Epoll`] / [`Engine::Poll`]
-    /// only; the threads engine ignores it). Defaults to available
-    /// parallelism capped at [`DEFAULT_MAX_WORKERS`].
+    /// Reactor worker threads ([`Engine::Epoll`] only; the threads
+    /// engine ignores it). Defaults to available parallelism capped at
+    /// [`DEFAULT_MAX_WORKERS`].
     pub workers: usize,
     /// Flight-recorder mode (`--trace on|off|sampled:<n>`). `Off` (the
     /// default) allocates no ring storage and records nothing; the
@@ -108,7 +106,7 @@ pub struct SvcConfig {
 
 /// Cap on the default [`SvcConfig::workers`]: beyond a handful of
 /// workers the namespace shards, not the event loops, are the
-/// bottleneck, and idle workers still cost wake plumbing.
+/// bottleneck, and idle workers still cost a thread and an epoll set.
 pub const DEFAULT_MAX_WORKERS: usize = 8;
 
 /// The default [`SvcConfig::workers`]: available parallelism, capped
@@ -132,7 +130,6 @@ impl Default for SvcConfig {
             shards: 8,
             capacity: 64,
             backend: Backend::Combined,
-            listeners: 2,
             max_keys: crate::namespace::DEFAULT_MAX_KEYS,
             lease: None,
             read_timeout: None,
@@ -144,35 +141,98 @@ impl Default for SvcConfig {
     }
 }
 
+/// How long accepting pauses after an accept error other than
+/// `WouldBlock`/`Interrupted` (EMFILE under fd exhaustion, say), so a
+/// persistent failure cannot hot-loop a core while connections that
+/// would free descriptors wait to be served.
+pub(crate) const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// What every serving thread shares: the arbitrated namespace, the
+/// connection gauges, the metrics plane, the flight recorder, and the
+/// per-connection limits.
+#[derive(Debug, Clone)]
+pub(crate) struct Shared {
+    pub(crate) namespace: Arc<Namespace>,
+    pub(crate) gauges: Arc<ConnGauges>,
+    pub(crate) metrics: Arc<SvcMetrics>,
+    pub(crate) recorder: Arc<FlightRecorder>,
+    pub(crate) read_timeout: Option<Duration>,
+    pub(crate) max_conns: usize,
+}
+
+impl Shared {
+    /// The admission policy both engines run on every accepted socket:
+    /// claim a `max_conns` slot, or — over the ceiling — undo the
+    /// claim, name the limit best-effort, and hang up, without spending
+    /// a thread or a worker slot on the refusal. An admitted stream
+    /// comes back with its slot claimed; whoever serves it releases the
+    /// slot with [`ConnGauges::disconnected`].
+    pub(crate) fn admit(&self, mut stream: TcpStream) -> Option<TcpStream> {
+        let live = self.gauges.connected();
+        if live > self.max_conns as u64 {
+            self.gauges.disconnected();
+            self.gauges.refuse();
+            self.recorder.record(
+                Lane::Accept,
+                EventKind::AdmissionRefusal,
+                (live - 1) as u32,
+                0,
+                0,
+            );
+            let mut out = Vec::new();
+            frame_response(
+                &Response::Err(format!(
+                    "connection refused: server is at its {}-connection limit",
+                    self.max_conns
+                )),
+                &mut out,
+            );
+            // Nonblocking first: a peer that never reads must not
+            // stall the thread that accepted it.
+            let _ = stream.set_nonblocking(true);
+            let _ = stream.write_all(&out);
+            return None;
+        }
+        self.recorder
+            .record(Lane::Accept, EventKind::Accept, live as u32, 0, 0);
+        Some(stream)
+    }
+}
+
+/// What accepts and serves connections, per [`SvcConfig::engine`].
+#[derive(Debug)]
+enum Serving {
+    /// Reactor workers, each accepting in its own event loop.
+    Reactor(ReactorPool),
+    /// The threads engine's blocking accept thread.
+    Threads(JoinHandle<()>),
+}
+
 /// A running arbitration server. Dropping the handle does **not** stop
 /// the server; call [`Server::shutdown`] (tests, examples) or
 /// [`Server::join`] (the `rtas-svc serve` CLI).
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
-    namespace: Arc<Namespace>,
-    gauges: Arc<ConnGauges>,
-    metrics: Arc<SvcMetrics>,
-    recorder: Arc<FlightRecorder>,
+    shared: Shared,
     stop: Arc<AtomicBool>,
-    accepters: Vec<JoinHandle<()>>,
-    pool: Option<ReactorPool>,
+    serving: Serving,
     reaper: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind `config.addr` and start the accept threads.
+    /// Bind `config.addr` and start serving: the reactor workers, or
+    /// the threads engine's accept thread.
     pub fn spawn(config: SvcConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         // One lane per reactor worker; the threads engine has no
         // workers, so its per-connection events share the accept lane.
         let worker_lanes = match config.engine {
+            Engine::Epoll => config.workers.max(1),
             Engine::Threads => 0,
-            _ => config.workers.max(1),
         };
         let recorder = Arc::new(FlightRecorder::new(config.trace, worker_lanes));
-        let metrics = Arc::new(SvcMetrics::new(worker_lanes));
         let mut namespace = Namespace::with_lease(
             config.backend,
             config.shards,
@@ -183,70 +243,33 @@ impl Server {
         // The namespace adopts the recorder's clock so lease deadlines
         // and trace timestamps share one origin.
         namespace.attach_recorder(Arc::clone(&recorder));
-        let namespace = Arc::new(namespace);
-        let stop = Arc::new(AtomicBool::new(false));
-        let gauges = Arc::new(ConnGauges::default());
-        // Clone every listener handle BEFORE spawning any thread: a
-        // try_clone failure must abort cleanly, not leave already
-        // spawned accepters running with no Server handle to stop them.
-        let listeners = (0..config.listeners.max(1))
-            .map(|_| listener.try_clone())
-            .collect::<io::Result<Vec<_>>>()?;
-        let read_timeout = config.read_timeout;
-        let max_conns = config.max_conns.max(1);
-        // Reactor engines get their worker pool up before the first
-        // accept; the threads engine spawns handlers on demand.
-        let pool = match config.engine {
-            Engine::Threads => None,
-            engine => Some(ReactorPool::spawn(
-                engine,
-                config.workers,
-                &namespace,
-                &gauges,
-                &metrics,
-                &recorder,
-                &stop,
-                read_timeout,
-            )?),
+        let shared = Shared {
+            namespace: Arc::new(namespace),
+            gauges: Arc::new(ConnGauges::default()),
+            metrics: Arc::new(SvcMetrics::new(worker_lanes)),
+            recorder,
+            read_timeout: config.read_timeout,
+            max_conns: config.max_conns.max(1),
         };
-        let dispatcher = pool.as_ref().map(ReactorPool::dispatcher);
-        let accepters = listeners
-            .into_iter()
-            .map(|listener| {
-                let namespace = Arc::clone(&namespace);
+        let stop = Arc::new(AtomicBool::new(false));
+        let serving = match config.engine {
+            Engine::Epoll => {
+                Serving::Reactor(ReactorPool::spawn(listener, config.workers, &shared)?)
+            }
+            Engine::Threads => {
+                let shared = shared.clone();
                 let stop = Arc::clone(&stop);
-                let gauges = Arc::clone(&gauges);
-                let metrics = Arc::clone(&metrics);
-                let recorder = Arc::clone(&recorder);
-                let dispatcher = dispatcher.clone();
-                std::thread::spawn(move || match dispatcher {
-                    Some(dispatcher) => accept_loop_reactor(
-                        &listener,
-                        &dispatcher,
-                        &gauges,
-                        &recorder,
-                        &stop,
-                        max_conns,
-                    ),
-                    None => accept_loop(
-                        &listener,
-                        &namespace,
-                        &gauges,
-                        &metrics,
-                        &recorder,
-                        &stop,
-                        read_timeout,
-                        max_conns,
-                    ),
-                })
-            })
-            .collect();
+                Serving::Threads(std::thread::spawn(move || {
+                    accept_loop(&listener, &shared, &stop)
+                }))
+            }
+        };
         // The reaper: sweep expired leases at a quarter of the lease
         // period (bounded to stay responsive to shutdown without
         // spinning), so a vanished holder wedges a key for at most
         // ~1.25 leases even with zero traffic on it.
         let reaper = config.lease.map(|lease| {
-            let namespace = Arc::clone(&namespace);
+            let namespace = Arc::clone(&shared.namespace);
             let stop = Arc::clone(&stop);
             let period = (lease / 4).clamp(Duration::from_millis(1), Duration::from_millis(250));
             std::thread::spawn(move || {
@@ -258,13 +281,9 @@ impl Server {
         });
         Ok(Server {
             addr,
-            namespace,
-            gauges,
-            metrics,
-            recorder,
+            shared,
             stop,
-            accepters,
-            pool,
+            serving,
             reaper,
         })
     }
@@ -277,141 +296,85 @@ impl Server {
     /// The namespace the server arbitrates — in-process callers (tests,
     /// examples) can inspect stats or drive keys directly.
     pub fn namespace(&self) -> &Arc<Namespace> {
-        &self.namespace
+        &self.shared.namespace
     }
 
-    /// The accept loops' connection gauges (live / refused counts) —
-    /// what a wire `STATS` reports in its last two fields.
+    /// The connection gauges (live / refused counts) — what a wire
+    /// `STATS` reports in its last two fields.
     pub fn gauges(&self) -> &Arc<ConnGauges> {
-        &self.gauges
+        &self.shared.gauges
     }
 
     /// The metrics plane the `METRICS` wire op renders — in-process
     /// callers can read the instruments directly.
     pub fn metrics(&self) -> &Arc<SvcMetrics> {
-        &self.metrics
+        &self.shared.metrics
     }
 
     /// The flight recorder behind [`SvcConfig::trace`]. Disabled
     /// (`--trace off`) it records nothing and dumps empty lanes.
     pub fn recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
+        &self.shared.recorder
     }
 
     /// Dump the flight recorder's current ring contents to `path` in
-    /// the `RTASTRC1` format (decode with `rtas-svc trace-dump`).
+    /// the `RTASTRC1` format (decode with `rtas-trace dump`).
     /// Lossy by construction: each lane holds its most recent events.
     pub fn dump_trace(&self, path: &std::path::Path) -> io::Result<()> {
-        self.recorder.dump_to_file(path)
+        self.shared.recorder.dump_to_file(path)
     }
 
-    /// Stop accepting and join the accept threads. Under a reactor
-    /// engine the worker pool is joined too, closing every live
-    /// connection; under the threads engine, established connections
-    /// keep being served until their clients disconnect.
+    /// Stop accepting and wait for the serving threads. Under the
+    /// `epoll` engine the workers close every live connection on the
+    /// way out; under the threads engine, established connections keep
+    /// being served until their clients disconnect.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        // One wake-up connection per accept thread: each accepter checks
-        // the flag right after `accept` returns.
-        for _ in &self.accepters {
-            let _ = TcpStream::connect(self.addr);
-        }
-        for handle in self.accepters {
-            let _ = handle.join();
-        }
-        if let Some(pool) = self.pool {
-            pool.join();
+        match self.serving {
+            Serving::Reactor(pool) => pool.shutdown(),
+            Serving::Threads(accepter) => {
+                // One wake-up connection: the accept thread checks the
+                // flag right after `accept` returns.
+                let _ = TcpStream::connect(self.addr);
+                let _ = accepter.join();
+            }
         }
         if let Some(reaper) = self.reaper {
             let _ = reaper.join();
         }
     }
 
-    /// Block on the accept threads forever (the `serve` CLI path).
+    /// Block on the serving threads forever (the `serve` CLI path):
+    /// the reactor workers, or the threads engine's accept thread.
     pub fn join(self) {
-        for handle in self.accepters {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// One `accept` plus the shared admission policy: returns a stream
-/// whose `max_conns` slot is already claimed, or `None` when the
-/// caller should `continue` (refusal, transient error) or `Err(())`
-/// when it should return (stop flag).
-fn accept_one(
-    listener: &TcpListener,
-    gauges: &ConnGauges,
-    recorder: &FlightRecorder,
-    stop: &AtomicBool,
-    max_conns: usize,
-) -> Result<Option<TcpStream>, ()> {
-    let mut stream = match listener.accept() {
-        Ok((stream, _)) => stream,
-        Err(_) => {
-            if stop.load(Ordering::SeqCst) {
-                return Err(());
+        match self.serving {
+            Serving::Reactor(pool) => pool.join(),
+            Serving::Threads(accepter) => {
+                let _ = accepter.join();
             }
-            // Persistent accept failures (EMFILE under fd exhaustion,
-            // transient ECONNABORTED) must not hot-loop a core: back
-            // off briefly so workers get the cycles to drain and close
-            // connections.
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            return Ok(None);
         }
-    };
-    if stop.load(Ordering::SeqCst) {
-        return Err(());
     }
-    // Claim a connection slot optimistically; over the ceiling, undo
-    // the claim, name the limit best-effort, and hang up — inline,
-    // without spending a thread or a worker slot on the refusal.
-    let live = gauges.connected();
-    if live > max_conns as u64 {
-        gauges.disconnected();
-        gauges.refuse();
-        recorder.record(
-            Lane::Accept,
-            EventKind::AdmissionRefusal,
-            (live - 1) as u32,
-            0,
-            0,
-        );
-        let mut out = Vec::new();
-        frame_response(
-            &Response::Err(format!(
-                "connection refused: server is at its {max_conns}-connection limit"
-            )),
-            &mut out,
-        );
-        let _ = stream.write_all(&out);
-        return Ok(None);
-    }
-    recorder.record(Lane::Accept, EventKind::Accept, live as u32, 0, 0);
-    Ok(Some(stream))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: &TcpListener,
-    namespace: &Arc<Namespace>,
-    gauges: &Arc<ConnGauges>,
-    metrics: &Arc<SvcMetrics>,
-    recorder: &Arc<FlightRecorder>,
-    stop: &Arc<AtomicBool>,
-    read_timeout: Option<Duration>,
-    max_conns: usize,
-) {
+/// The threads engine's accept loop: blocking `accept`, the shared
+/// admission policy, then one handler thread per admitted connection.
+fn accept_loop(listener: &TcpListener, shared: &Shared, stop: &AtomicBool) {
     loop {
-        let stream = match accept_one(listener, gauges, recorder, stop, max_conns) {
-            Ok(Some(stream)) => stream,
-            Ok(None) => continue,
-            Err(()) => return,
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) if stop.load(Ordering::SeqCst) => return,
+            Err(_) => {
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
         };
-        let namespace = Arc::clone(namespace);
-        let gauges = Arc::clone(gauges);
-        let metrics = Arc::clone(metrics);
-        let recorder = Arc::clone(recorder);
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Some(stream) = shared.admit(stream) else {
+            continue;
+        };
+        let shared = shared.clone();
         std::thread::spawn(move || {
             // The slot is released however the handler exits — clean
             // EOF, poisoned stream, or a panic unwinding through it.
@@ -421,36 +384,9 @@ fn accept_loop(
                     self.0.disconnected();
                 }
             }
-            let _guard = SlotGuard(Arc::clone(&gauges));
-            handle_connection(
-                stream,
-                &namespace,
-                &gauges,
-                &metrics,
-                &recorder,
-                read_timeout,
-            );
+            let _guard = SlotGuard(Arc::clone(&shared.gauges));
+            handle_connection(stream, &shared);
         });
-    }
-}
-
-/// The reactor engines' accept loop: same socket, same admission
-/// policy, but accepted connections go to a worker inbox instead of a
-/// fresh thread. The worker releases the `max_conns` claim on close.
-fn accept_loop_reactor(
-    listener: &TcpListener,
-    dispatcher: &Dispatcher,
-    gauges: &Arc<ConnGauges>,
-    recorder: &Arc<FlightRecorder>,
-    stop: &Arc<AtomicBool>,
-    max_conns: usize,
-) {
-    loop {
-        match accept_one(listener, gauges, recorder, stop, max_conns) {
-            Ok(Some(stream)) => dispatcher.dispatch(stream),
-            Ok(None) => continue,
-            Err(()) => return,
-        }
     }
 }
 
@@ -460,24 +396,17 @@ const READ_CHUNK: usize = 64 * 1024;
 
 /// Serve one connection until EOF, a framing violation, or a read
 /// deadline expiry — bulk reads in, one coalesced write per burst out.
-fn handle_connection(
-    mut stream: TcpStream,
-    namespace: &Namespace,
-    gauges: &ConnGauges,
-    metrics: &SvcMetrics,
-    recorder: &FlightRecorder,
-    read_timeout: Option<Duration>,
-) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     // Responses are flushed in one coalesced write per burst; batching
     // that write behind Nagle would still serialize pipelined round
     // trips, so the burst must leave immediately.
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(read_timeout);
+    let _ = stream.set_read_timeout(shared.read_timeout);
     // The threads engine has no worker lanes; its per-frame events
     // share the accept lane.
     let obs = ConnObs {
-        recorder,
-        metrics,
+        recorder: &shared.recorder,
+        metrics: &shared.metrics,
         lane: Lane::Accept,
     };
     let mut conn = Connection::new();
@@ -505,7 +434,7 @@ fn handle_connection(
             }
             Err(_) => return,
         };
-        match conn.ingest_obs(&chunk[..n], namespace, gauges, Some(&obs)) {
+        match conn.ingest_obs(&chunk[..n], &shared.namespace, &shared.gauges, Some(&obs)) {
             ConnStatus::Open => {
                 if !conn.output().is_empty() {
                     let flushed = stream.write_all(conn.output());

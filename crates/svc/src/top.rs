@@ -41,7 +41,6 @@ const RATED: &[(&str, &str)] = &[
     ("svc.resets", "resets/s"),
     ("svc.reclaimed", "reclaims/s"),
     ("svc.refused", "refused/s"),
-    ("reactor.wake_writes", "wakes/s"),
     ("reactor.carryovers", "carryovers/s"),
 ];
 

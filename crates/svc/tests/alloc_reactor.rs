@@ -1,8 +1,9 @@
 //! Allocation accounting for the reactor's steady-state serve path.
 //!
-//! The underlying arbitration objects allocate per epoch by design
-//! (randomized structures are rebuilt on reset), so "zero allocations"
-//! cannot mean a literally silent profile. The claim — mirroring
+//! The underlying arbitration objects allocate per operation (every
+//! `try_acquire` boxes the protocol state machines it runs) and never
+//! on reset, so "zero allocations" cannot mean a literally silent
+//! profile. The claim — mirroring
 //! `alloc_steady.rs`, which proves the namespace adds zero allocations
 //! over the bare object — is **differential**: the reactor engine's
 //! event loop (epoll wait, slab slots, reused event/chunk/due scratch,

@@ -63,7 +63,7 @@ fn chaos_run_dump_accounts_for_every_observed_reclaim() {
     let path = dir.join("chaos.rtastrc");
     srv.dump_trace(&path).expect("dump flight recorder");
     // When the CI smoke job points RTAS_TRACE_DIR at a workspace dir,
-    // leave a copy there for the `rtas-svc trace-dump` decode step.
+    // leave a copy there for the `rtas-trace dump` decode step.
     srv.recorder()
         .dump_to_trace_dir("chaos")
         .expect("trace-dir dump");
@@ -226,7 +226,7 @@ fn stats_json_round_trips_through_the_bench_report_parser() {
 fn metrics_scrape_has_the_fixed_report_extras_shape() {
     // The load harness folds scraped metrics into bench-report rows;
     // bench-diff gates those rows structurally, so the scrape must
-    // always produce the same nine keys in the same order — zeros when
+    // always produce the same eight keys in the same order — zeros when
     // a gauge has nothing to say, never a missing key.
     let srv = Server::spawn(SvcConfig::default()).expect("bind loopback");
     let addr = srv.addr().to_string();
@@ -246,7 +246,6 @@ fn metrics_scrape_has_the_fixed_report_extras_shape() {
             "svc_resets",
             "svc_reclaimed",
             "svc_refused",
-            "svc_wake_writes",
             "svc_carryovers",
             "svc_slab_live",
             "svc_wheel_entries",
@@ -300,6 +299,6 @@ fn traced_reactor_exposes_stage_latencies_and_worker_gauges() {
         let _ = value(&format!("reactor.worker{k}.slab_live"));
         let _ = value(&format!("reactor.worker{k}.wheel_entries"));
     }
-    assert!(value("reactor.wake_writes") >= 0.0);
+    assert!(value("reactor.carryovers") >= 0.0);
     srv.shutdown();
 }
