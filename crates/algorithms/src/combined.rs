@@ -20,43 +20,44 @@
 //! O(log* k) algorithm with the ascending-write attack of
 //! [`crate::attacks`].
 //!
-//! Implementation note: each side runs in its own
-//! [`rtas_sim::executor::SubRuntime`] *inside* one process's protocol —
-//! the protocol interleaves the two operation streams one shared-memory
-//! operation at a time, exactly as the paper's round-robin demands.
+//! Implementation note: the combiner is one [`CombinedFrame`] that keeps
+//! each side as an inline stack of [`SideFrame`]s (at most three deep for
+//! any backend) and interleaves the two sides' operation streams one
+//! shared-memory operation at a time, exactly as the paper's round-robin
+//! demands. Only `LEtop` is a child call.
 
 use std::sync::Arc;
 
-use rtas_primitives::{RoleLeaderElect, TwoProcessLe};
-use rtas_sim::executor::{SubPoll, SubRuntime};
+use rtas_primitives::TwoProcessLe;
 use rtas_sim::memory::Memory;
-use rtas_sim::op::OpKind;
+use rtas_sim::op::MemOp;
 use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
 use rtas_sim::word::Word;
 
+use crate::frame::{LeRoot, SideFrame, SideStack, StackFrame, Step};
 use crate::ratrace::SpaceEfficientRatRace;
 use crate::LeaderElect;
 
 /// The Section 4 combined leader election.
-#[derive(Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Combined {
     ratrace: SpaceEfficientRatRace,
-    weak: Arc<dyn LeaderElect>,
+    /// The weak side's `elect()`, in its initial state.
+    weak: SideFrame,
     letop: TwoProcessLe,
-}
-
-impl std::fmt::Debug for Combined {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Combined")
-            .field("ratrace", &self.ratrace)
-            .finish()
-    }
 }
 
 impl Combined {
     /// Combine `weak` (an algorithm for a weak adversary) with a RatRace
     /// sized for `n` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weak` is itself a combiner.
     pub fn new(memory: &mut Memory, weak: Arc<dyn LeaderElect>, n: usize) -> Self {
+        let LeRoot::Side(weak) = weak.root() else {
+            panic!("a combiner's weak side cannot itself be a combiner");
+        };
         let ratrace = SpaceEfficientRatRace::new(memory, n);
         let letop = TwoProcessLe::new(memory, "combined-letop");
         Combined {
@@ -68,20 +69,26 @@ impl Combined {
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(CombinedProtocol {
-            combined: self.clone(),
-            rr: Side::new(SubRuntime::new(self.ratrace.elect())),
-            weak: Side::new(SubRuntime::new(self.weak.elect())),
+        LeaderElect::elect(self)
+    }
+
+    /// The frame of one `elect()` call.
+    #[inline(always)]
+    pub(crate) fn frame(self) -> CombinedFrame {
+        CombinedFrame {
+            rr: Side::new(SideFrame::RatRace(self.ratrace.frame())),
+            weak: Side::new(self.weak),
+            letop: self.letop,
             pending: None,
             next_turn: Turn::RatRace,
             state: State::Interleaving,
-        })
+        }
     }
 }
 
 impl LeaderElect for Combined {
-    fn elect(&self) -> Box<dyn Protocol> {
-        Combined::elect(self)
+    fn root(&self) -> LeRoot {
+        LeRoot::Combined(*self)
     }
 }
 
@@ -99,30 +106,40 @@ enum State {
     AfterTop,
 }
 
-/// One side of the interleaving: its runtime plus a stopped flag.
+/// One side of the interleaving: its frame stack, the operation it is
+/// poised on, and its result or stopped flag.
+#[derive(Debug, Clone, Copy)]
 struct Side {
-    runtime: SubRuntime,
+    stack: SideStack,
+    pending: Option<MemOp>,
+    finished: Option<Word>,
     stopped: bool,
 }
 
 impl Side {
-    fn new(runtime: SubRuntime) -> Self {
+    #[inline]
+    fn new(root: SideFrame) -> Self {
         Side {
-            runtime,
+            stack: SideStack::new(root),
+            pending: None,
+            finished: None,
             stopped: false,
         }
     }
 
     /// Whether this side can still take a step.
+    #[inline]
     fn live(&self) -> bool {
-        !self.stopped && self.runtime.finished().is_none()
+        !self.stopped && self.finished.is_none()
     }
 }
 
-struct CombinedProtocol {
-    combined: Combined,
+/// One combined `elect()` call in progress.
+#[derive(Debug, Clone, Copy)]
+pub struct CombinedFrame {
     rr: Side,
     weak: Side,
+    letop: TwoProcessLe,
     pending: Option<Turn>,
     next_turn: Turn,
     state: State,
@@ -138,8 +155,9 @@ enum RuleOutcome {
     Lose,
 }
 
-impl CombinedProtocol {
+impl CombinedFrame {
     /// Apply rules 1–3 for a side that just finished with `value`.
+    #[inline]
     fn on_side_finished(&mut self, side: Turn, value: Word, won_splitter: bool) -> RuleOutcome {
         match (side, value) {
             (Turn::RatRace, v) if v == ret::WIN => {
@@ -171,6 +189,7 @@ impl CombinedProtocol {
         }
     }
 
+    #[inline]
     fn side_mut(&mut self, turn: Turn) -> &mut Side {
         match turn {
             Turn::RatRace => &mut self.rr,
@@ -179,77 +198,85 @@ impl CombinedProtocol {
     }
 }
 
-impl Protocol for CombinedProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
-        if self.state == State::AfterTop {
-            return Poll::Done(input.child_value());
-        }
-        // Deliver the result of the op we issued on behalf of a side.
-        if let Some(turn) = self.pending.take() {
-            match input {
-                Resume::Read(_) | Resume::Wrote => {
-                    self.side_mut(turn).runtime.feed(input);
-                }
-                other => panic!("unexpected resume {other:?} while interleaving"),
+impl CombinedFrame {
+    /// Resume `turn`'s side with `input` until it is poised on an
+    /// operation or finished, applying the combination rules if it
+    /// finished. Returns the combined election's next step when the rules
+    /// decide it.
+    #[inline(always)]
+    fn advance(&mut self, turn: Turn, input: Resume, ctx: &mut Ctx<'_>) -> Option<Step> {
+        let side = self.side_mut(turn);
+        side.pending = None;
+        let v = match side.stack.advance(input, ctx) {
+            Poll::Op(op) => {
+                side.pending = Some(op);
+                return None;
             }
-        } else {
-            debug_assert!(matches!(input, Resume::Start));
-        }
-        loop {
-            // Advance any live side that is not poised yet, applying the
-            // combination rules as sides finish.
-            for turn in [Turn::RatRace, Turn::Weak] {
-                let side = self.side_mut(turn);
-                if side.stopped || side.runtime.finished().is_some() {
-                    continue;
-                }
-                if side.runtime.pending().is_none() {
-                    if let SubPoll::Finished(v) = side.runtime.advance(ctx) {
-                        let won_splitter = ctx.notes.won_splitter;
-                        match self.on_side_finished(turn, v, won_splitter) {
-                            RuleOutcome::Continue => {}
-                            RuleOutcome::Lose => return Poll::Done(ret::LOSE),
-                            RuleOutcome::Top(role) => {
-                                self.state = State::AfterTop;
-                                return Poll::Call(self.combined.letop.elect_as(role));
-                            }
-                        }
-                    }
-                }
+            Poll::Done(v) => v,
+        };
+        side.finished = Some(v);
+        match self.on_side_finished(turn, v, ctx.notes.won_splitter) {
+            RuleOutcome::Continue => None,
+            RuleOutcome::Lose => Some(Step::Done(ret::LOSE)),
+            RuleOutcome::Top(role) => {
+                self.state = State::AfterTop;
+                Some(Step::Call(SideFrame::TwoProcess(self.letop.frame(role))))
             }
-            // Pick the next side to step, alternating when both are live.
-            let turn = match (self.rr.live(), self.weak.live()) {
-                (true, true) => {
-                    let t = self.next_turn;
-                    self.next_turn = match t {
-                        Turn::RatRace => Turn::Weak,
-                        Turn::Weak => Turn::RatRace,
-                    };
-                    t
-                }
-                (true, false) => Turn::RatRace,
-                (false, true) => Turn::Weak,
-                (false, false) => {
-                    // Both sides stopped without triggering a rule — only
-                    // possible if a side finished while stopped, which the
-                    // rules exclude; be safe and lose.
-                    debug_assert!(false, "combined: both sides dead without outcome");
-                    return Poll::Done(ret::LOSE);
-                }
-            };
-            let side = self.side_mut(turn);
-            if let Some(op) = side.runtime.pending() {
-                debug_assert!(matches!(op.kind(), OpKind::Read | OpKind::Write));
-                self.pending = Some(turn);
-                return Poll::Op(op);
-            }
-            // Side had no pending op (it just finished or advanced);
-            // loop to re-apply rules / re-pick.
         }
     }
+}
 
-    fn name(&self) -> &'static str {
-        "combined"
+impl StackFrame for CombinedFrame {
+    #[inline(always)]
+    fn step(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Step {
+        if self.state == State::AfterTop {
+            return Step::Done(input.child_value());
+        }
+        // Deliver the result of the op we issued on behalf of a side, or
+        // bring both sides to their first operation. (One call site, so
+        // the side dispatch is inlined once.)
+        let sides = match self.pending.take() {
+            Some(turn) => {
+                match input {
+                    Resume::Read(_) | Resume::Wrote => {}
+                    other => panic!("unexpected resume {other:?} while interleaving"),
+                }
+                [Some(turn), None]
+            }
+            None => {
+                debug_assert!(matches!(input, Resume::Start));
+                [Some(Turn::RatRace), Some(Turn::Weak)]
+            }
+        };
+        for turn in sides.into_iter().flatten() {
+            if let Some(step) = self.advance(turn, input, ctx) {
+                return step;
+            }
+        }
+        // Every live side is now poised. Step the next one, alternating
+        // when both are live.
+        let turn = match (self.rr.live(), self.weak.live()) {
+            (true, true) => {
+                let t = self.next_turn;
+                self.next_turn = match t {
+                    Turn::RatRace => Turn::Weak,
+                    Turn::Weak => Turn::RatRace,
+                };
+                t
+            }
+            (true, false) => Turn::RatRace,
+            (false, true) => Turn::Weak,
+            (false, false) => {
+                // Both sides stopped without triggering a rule — only
+                // possible if a side finished while stopped, which the
+                // rules exclude; be safe and lose.
+                debug_assert!(false, "combined: both sides dead without outcome");
+                return Step::Done(ret::LOSE);
+            }
+        };
+        let op = self.side_mut(turn).pending.expect("a live side is poised");
+        self.pending = Some(turn);
+        Step::Op(op)
     }
 }
 
@@ -259,6 +286,7 @@ mod tests {
     use crate::logstar::LogStarLe;
     use rtas_sim::adversary::{AdversaryClass, FnAdversary, RandomSchedule, RoundRobin, View};
     use rtas_sim::executor::Execution;
+    use rtas_sim::protocol::Protocol;
     use rtas_sim::word::ProcessId;
 
     fn combined_system(k: usize, n: usize) -> (Memory, Vec<Box<dyn Protocol>>) {
@@ -338,6 +366,15 @@ mod tests {
                 res.outcomes()
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot itself be a combiner")]
+    fn combiner_cannot_be_a_weak_side() {
+        let mut mem = Memory::new();
+        let weak = Arc::new(LogStarLe::new(&mut mem, 4));
+        let inner = Arc::new(Combined::new(&mut mem, weak, 4));
+        let _ = Combined::new(&mut mem, inner, 4);
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //! need the distinct outcome `FELL_OFF` and entry of the winner into a
 //! parent structure.
 
-use std::sync::Arc;
-
-use rtas_primitives::{RoleLeaderElect, Splitter, SplitterObject, TwoProcessLe};
+use rtas_primitives::{Splitter, TwoProcessLe};
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
-use rtas_sim::word::Word;
+use rtas_sim::protocol::{ret, Ctx, Protocol, Resume};
+use rtas_sim::word::{RegId, Word};
+
+use crate::frame::{Frame, FrameStack, SideFrame, Step};
 
 /// Outcome values of an elimination-path `enter()`.
 pub mod path_ret {
@@ -39,23 +39,15 @@ pub mod path_ret {
     pub const FELL_OFF: Word = 2;
 }
 
-struct Node {
-    sp: Splitter,
-    le: TwoProcessLe,
-}
+/// Registers per node: a splitter and a 2-process election.
+const NODE_REGISTERS: u64 = Splitter::REGISTERS + TwoProcessLe::REGISTERS;
 
-/// An elimination path of fixed length.
-#[derive(Clone)]
+/// An elimination path of fixed length. Node `i`'s splitter and
+/// 2-process election are the 4 registers at `base + 4i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EliminationPath {
-    nodes: Arc<Vec<Node>>,
-}
-
-impl std::fmt::Debug for EliminationPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EliminationPath")
-            .field("length", &self.nodes.len())
-            .finish()
-    }
+    base: RegId,
+    length: usize,
 }
 
 impl EliminationPath {
@@ -66,25 +58,29 @@ impl EliminationPath {
     /// Panics if `length == 0`.
     pub fn new(memory: &mut Memory, length: usize, label: &str) -> Self {
         assert!(length >= 1, "elimination path needs at least one node");
-        let nodes = (0..length)
-            .map(|_| Node {
-                sp: Splitter::new(memory, label),
-                le: TwoProcessLe::new(memory, label),
-            })
-            .collect();
-        EliminationPath {
-            nodes: Arc::new(nodes),
+        let base = memory.alloc(Splitter::REGISTERS, label).start();
+        memory.alloc(TwoProcessLe::REGISTERS, label);
+        for _ in 1..length {
+            memory.alloc(Splitter::REGISTERS, label);
+            memory.alloc(TwoProcessLe::REGISTERS, label);
         }
+        EliminationPath::at(base, length)
+    }
+
+    /// The path of `length` nodes whose registers start at `base`.
+    #[inline]
+    pub(crate) fn at(base: RegId, length: usize) -> Self {
+        EliminationPath { base, length }
     }
 
     /// Path length `ℓ`.
     pub fn length(&self) -> usize {
-        self.nodes.len()
+        self.length
     }
 
     /// Registers used: 4 per node.
     pub fn registers(&self) -> u64 {
-        self.nodes.len() as u64 * (Splitter::REGISTERS + TwoProcessLe::REGISTERS)
+        self.length as u64 * NODE_REGISTERS
     }
 
     /// Build the protocol for one process entering at node 1.
@@ -92,12 +88,31 @@ impl EliminationPath {
     /// Returns [`path_ret::WIN`], [`path_ret::LOSE`], or
     /// [`path_ret::FELL_OFF`].
     pub fn enter(&self) -> Box<dyn Protocol> {
-        Box::new(PathProtocol {
-            path: self.clone(),
+        Box::new(FrameStack::new(Frame::Side(SideFrame::Path(self.frame()))))
+    }
+
+    /// The frame of one process entering at node 1.
+    #[inline]
+    pub(crate) fn frame(self) -> PathFrame {
+        PathFrame {
+            path: self,
             state: State::Split,
             node: 0,
             role: 0,
-        })
+        }
+    }
+
+    #[inline]
+    fn splitter(self, node: usize) -> Splitter {
+        Splitter::at(self.base.offset(node as u64 * NODE_REGISTERS))
+    }
+
+    #[inline]
+    fn le(self, node: usize) -> TwoProcessLe {
+        TwoProcessLe::at(
+            self.base
+                .offset(node as u64 * NODE_REGISTERS + Splitter::REGISTERS),
+        )
     }
 }
 
@@ -113,27 +128,30 @@ enum State {
     AfterClimb,
 }
 
-struct PathProtocol {
+/// One process's walk along an elimination path.
+#[derive(Debug, Clone, Copy)]
+pub struct PathFrame {
     path: EliminationPath,
     state: State,
     node: usize,
     role: usize,
 }
 
-impl Protocol for PathProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+impl PathFrame {
+    #[inline(always)]
+    pub(crate) fn step(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Step {
         loop {
             match self.state {
                 State::Split => {
                     self.state = State::AfterSplit;
-                    return Poll::Call(self.path.nodes[self.node].sp.split());
+                    return Step::Call(SideFrame::Split(self.path.splitter(self.node).frame()));
                 }
                 State::AfterSplit => match input.child_value() {
-                    v if v == ret::SPLIT_LEFT => return Poll::Done(path_ret::LOSE),
+                    v if v == ret::SPLIT_LEFT => return Step::Done(path_ret::LOSE),
                     v if v == ret::SPLIT_RIGHT => {
                         self.node += 1;
-                        if self.node == self.path.nodes.len() {
-                            return Poll::Done(path_ret::FELL_OFF);
+                        if self.node == self.path.length {
+                            return Step::Done(path_ret::FELL_OFF);
                         }
                         self.state = State::Split;
                     }
@@ -148,14 +166,16 @@ impl Protocol for PathProtocol {
                 },
                 State::Climb => {
                     self.state = State::AfterClimb;
-                    return Poll::Call(self.path.nodes[self.node].le.elect_as(self.role));
+                    return Step::Call(SideFrame::TwoProcess(
+                        self.path.le(self.node).frame(self.role),
+                    ));
                 }
                 State::AfterClimb => {
                     if input.child_value() == ret::LOSE {
-                        return Poll::Done(path_ret::LOSE);
+                        return Step::Done(path_ret::LOSE);
                     }
                     if self.node == 0 {
-                        return Poll::Done(path_ret::WIN);
+                        return Step::Done(path_ret::WIN);
                     }
                     self.node -= 1;
                     self.role = 1;
@@ -163,10 +183,6 @@ impl Protocol for PathProtocol {
                 }
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "elimination-path"
     }
 }
 
@@ -293,15 +309,15 @@ mod tests {
     fn splitter_win_sets_combiner_note() {
         // The elimination path must raise Notes::won_splitter for Rule 3
         // of the Section 4 combiner.
-        use rtas_sim::executor::{SubPoll, SubRuntime};
         use rtas_sim::op::MemOp;
-        use rtas_sim::protocol::{Ctx, Notes, Resume};
+        use rtas_sim::protocol::{Notes, Poll};
         use rtas_sim::rng::SplitMix64;
         let mut mem = Memory::new();
         let path = EliminationPath::new(&mut mem, 2, "ep");
-        let mut rt = SubRuntime::new(path.enter());
+        let mut stack = FrameStack::new(Frame::Side(SideFrame::Path(path.frame())));
         let mut rng = SplitMix64::new(0);
         let mut notes = Notes::default();
+        let mut input = Resume::Start;
         loop {
             let poll = {
                 let mut ctx = Ctx {
@@ -309,22 +325,17 @@ mod tests {
                     rng: &mut rng,
                     notes: &mut notes,
                 };
-                rt.advance(&mut ctx)
+                stack.advance(input, &mut ctx)
             };
             match poll {
-                SubPoll::Finished(v) => {
+                Poll::Done(v) => {
                     assert_eq!(v, path_ret::WIN);
                     break;
                 }
-                SubPoll::NeedsOp(op) => {
-                    let input = match op {
-                        MemOp::Read(r) => Resume::Read(mem.read(r).value),
-                        MemOp::Write(r, v) => {
-                            mem.write(r, v, rtas_sim::word::ProcessId(0));
-                            Resume::Wrote
-                        }
-                    };
-                    rt.feed(input);
+                Poll::Op(MemOp::Read(r)) => input = Resume::Read(mem.read(r).value),
+                Poll::Op(MemOp::Write(r, v)) => {
+                    mem.write(r, v, rtas_sim::word::ProcessId(0));
+                    input = Resume::Wrote;
                 }
             }
         }

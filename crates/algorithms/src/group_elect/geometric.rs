@@ -29,9 +29,8 @@ use super::GroupElect;
 /// Descriptor of one geometric group election (Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeometricGroupElect {
+    /// The `flag` register; `R[1..=ell+1]` follow it.
     flag: RegId,
-    /// `R[1..=ell+1]`, stored 0-based: `r_base.offset(i-1)` is `R[i]`.
-    r_base: RegId,
     ell: u64,
 }
 
@@ -39,13 +38,7 @@ impl GeometricGroupElect {
     /// Allocate a geometric group election sized for `n` processes
     /// (`ℓ = ⌈log₂ n⌉`, clamped to at least 1).
     pub fn new(memory: &mut Memory, n: usize, label: &str) -> Self {
-        let ell = ceil_log2(n.max(2)) as u64;
-        let regs = memory.alloc(ell + 2, label); // flag + R[1..=ell+1]
-        GeometricGroupElect {
-            flag: regs.get(0),
-            r_base: regs.get(1),
-            ell,
-        }
+        Self::with_ell(memory, ceil_log2(n.max(2)) as u64, label)
     }
 
     /// Allocate with an explicit array parameter `ℓ` (ablation knob: the
@@ -57,12 +50,8 @@ impl GeometricGroupElect {
     /// Panics if `ell == 0`.
     pub fn with_ell(memory: &mut Memory, ell: u64, label: &str) -> Self {
         assert!(ell >= 1, "ell must be at least 1");
-        let regs = memory.alloc(ell + 2, label);
-        GeometricGroupElect {
-            flag: regs.get(0),
-            r_base: regs.get(1),
-            ell,
-        }
+        let flag = memory.alloc(ell + 2, label).start(); // flag + R[1..=ell+1]
+        GeometricGroupElect { flag, ell }
     }
 
     /// The array length parameter `ℓ`.
@@ -75,9 +64,30 @@ impl GeometricGroupElect {
         self.ell + 2
     }
 
+    /// The group election `i` strides after this one, in a block of
+    /// equally sized group elections allocated one after the other.
+    #[inline]
+    pub(crate) fn nth(self, i: u64) -> Self {
+        GeometricGroupElect {
+            flag: self.flag.offset(i * self.registers()),
+            ell: self.ell,
+        }
+    }
+
+    /// The frame of one `elect()` call.
+    #[inline]
+    pub(crate) fn frame(self) -> GeometricFrame {
+        GeometricFrame {
+            ge: self,
+            state: State::Start,
+            x: 0,
+        }
+    }
+
+    #[inline]
     fn r(&self, index: Word) -> RegId {
         debug_assert!((1..=self.ell + 1).contains(&index));
-        self.r_base.offset(index - 1)
+        self.flag.offset(index)
     }
 }
 
@@ -93,11 +103,7 @@ pub fn ceil_log2(n: usize) -> u32 {
 
 impl GroupElect for GeometricGroupElect {
     fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(GeometricProtocol {
-            ge: *self,
-            state: State::Start,
-            x: 0,
-        })
+        Box::new(self.frame())
     }
 }
 
@@ -110,14 +116,16 @@ enum State {
     ReadNext,
 }
 
-#[derive(Debug)]
-struct GeometricProtocol {
+/// One geometric `elect()` call in progress.
+#[derive(Debug, Clone, Copy)]
+pub struct GeometricFrame {
     ge: GeometricGroupElect,
     state: State,
     x: Word,
 }
 
-impl Protocol for GeometricProtocol {
+impl Protocol for GeometricFrame {
+    #[inline(always)]
     fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         match self.state {
             State::Start => {

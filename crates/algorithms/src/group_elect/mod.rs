@@ -20,8 +20,8 @@
 mod geometric;
 mod sifter;
 
-pub use geometric::{ceil_log2, GeometricGroupElect};
-pub use sifter::SiftingGroupElect;
+pub use geometric::{ceil_log2, GeometricFrame, GeometricGroupElect};
+pub use sifter::{SiftingFrame, SiftingGroupElect};
 
 use rtas_sim::protocol::{boxed, ret, Const, Protocol};
 
@@ -30,6 +30,10 @@ use rtas_sim::protocol::{boxed, ret, Const, Protocol};
 /// `elect()` returns [`rtas_sim::protocol::ret::WIN`] (elected) or
 /// [`rtas_sim::protocol::ret::LOSE`]. If one or more processes call
 /// `elect()` and none crashes, at least one is elected.
+///
+/// Ladders do not go through this trait: a [`crate::LeChain`] describes its
+/// levels' group elections by base register and stride
+/// ([`crate::le_chain::GeLevels`]) and steps their frames directly.
 pub trait GroupElect: Send + Sync {
     /// Build the per-process protocol performing one `elect()` call.
     fn elect(&self) -> Box<dyn Protocol>;

@@ -32,11 +32,21 @@ impl SiftingGroupElect {
     ///
     /// Panics unless `0 < write_probability <= 1`.
     pub fn new(memory: &mut Memory, write_probability: f64, label: &str) -> Self {
+        let reg = memory.alloc(1, label).get(0);
+        Self::at(reg, write_probability)
+    }
+
+    /// The sifting round on register `reg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < write_probability <= 1`.
+    #[inline]
+    pub(crate) fn at(reg: RegId, write_probability: f64) -> Self {
         assert!(
             write_probability > 0.0 && write_probability <= 1.0,
             "write probability must be in (0, 1], got {write_probability}"
         );
-        let reg = memory.alloc(1, label).get(0);
         SiftingGroupElect {
             reg,
             write_probability,
@@ -56,14 +66,25 @@ impl SiftingGroupElect {
 
     /// Registers used per round.
     pub const REGISTERS: u64 = 1;
+
+    /// The round's register.
+    pub(crate) fn register(&self) -> RegId {
+        self.reg
+    }
+
+    /// The frame of one `elect()` call.
+    #[inline]
+    pub(crate) fn frame(self) -> SiftingFrame {
+        SiftingFrame {
+            ge: self,
+            state: State::Start,
+        }
+    }
 }
 
 impl GroupElect for SiftingGroupElect {
     fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(SiftingProtocol {
-            ge: *self,
-            state: State::Start,
-        })
+        Box::new(self.frame())
     }
 }
 
@@ -74,13 +95,15 @@ enum State {
     Read,
 }
 
-#[derive(Debug)]
-struct SiftingProtocol {
+/// One sifting `elect()` call in progress.
+#[derive(Debug, Clone, Copy)]
+pub struct SiftingFrame {
     ge: SiftingGroupElect,
     state: State,
 }
 
-impl Protocol for SiftingProtocol {
+impl Protocol for SiftingFrame {
+    #[inline(always)]
     fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         match self.state {
             State::Start => {

@@ -25,14 +25,13 @@
 //! **overflow** to a bigger one instead of losing — hence
 //! [`OverflowPolicy`].
 
-use std::sync::Arc;
-
-use rtas_primitives::{RoleLeaderElect, Splitter, SplitterObject, TwoProcessLe};
+use rtas_primitives::{Splitter, TwoProcessLe};
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
-use rtas_sim::word::Word;
+use rtas_sim::protocol::{ret, Protocol, Resume};
+use rtas_sim::word::{RegId, Word};
 
-use crate::group_elect::GroupElect;
+use crate::frame::{LeRoot, SideFrame, Step};
+use crate::group_elect::{GeometricGroupElect, SiftingGroupElect};
 use crate::LeaderElect;
 
 /// Outcome values of a chain `elect()` (as `Word`s).
@@ -86,82 +85,184 @@ pub enum OverflowPolicy {
     Overflow,
 }
 
-struct Level {
-    ge: Arc<dyn GroupElect>,
-    sp: Splitter,
-    le: TwoProcessLe,
+/// The group elections of a ladder's levels: the first `count` levels
+/// carry real group elections of one kind, allocated one after the other
+/// at a fixed stride, and every later level a dummy (everyone elected,
+/// zero registers, zero steps).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum GeLevels {
+    /// Every level is a dummy.
+    Dummy,
+    /// Geometric group elections (Figure 1), all with the same `ℓ`.
+    Geometric {
+        /// The first level's group election.
+        first: GeometricGroupElect,
+        /// Levels with a real group election.
+        count: usize,
+    },
+    /// Sifting rounds on consecutive registers; round `i` writes with
+    /// probability `π_i = 1/√s_i` for `cap` processes, where
+    /// `s_0 = max(cap, 4)` and `s_{i+1} = max(√s_i, 4)`.
+    Sifting {
+        /// The first round's register.
+        first: RegId,
+        /// Levels with a real sifting round.
+        count: usize,
+        /// The capacity the probability schedule is tuned for.
+        cap: usize,
+    },
 }
 
-/// The ladder structure: one [`GroupElect`] + splitter + 2-process LE per
-/// level.
-#[derive(Clone)]
-pub struct LeChain {
-    levels: Arc<Vec<Level>>,
-    policy: OverflowPolicy,
-}
+impl GeLevels {
+    /// Allocate `count` geometric group elections sized for `n`.
+    pub fn geometric(memory: &mut Memory, count: usize, n: usize, label: &str) -> Self {
+        let mut first = None;
+        for _ in 0..count {
+            let ge = GeometricGroupElect::new(memory, n, label);
+            first.get_or_insert(ge);
+        }
+        match first {
+            Some(first) => GeLevels::Geometric { first, count },
+            None => GeLevels::Dummy,
+        }
+    }
 
-impl std::fmt::Debug for LeChain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LeChain")
-            .field("levels", &self.levels.len())
-            .field("policy", &self.policy)
-            .finish()
+    /// Allocate `count` sifting rounds tuned for `cap` processes.
+    pub fn sifting(memory: &mut Memory, count: usize, cap: usize, label: &str) -> Self {
+        let mut first = None;
+        for i in 0..count {
+            let ge = SiftingGroupElect::new(memory, sifting_probability(cap, i), label);
+            first.get_or_insert(ge.register());
+        }
+        match first {
+            Some(first) => GeLevels::Sifting { first, count, cap },
+            None => GeLevels::Dummy,
+        }
+    }
+
+    /// The frame of level `level`'s group election, or `None` for a dummy.
+    #[inline(always)]
+    fn elect(self, level: usize) -> Option<SideFrame> {
+        match self {
+            GeLevels::Geometric { first, count } if level < count => {
+                Some(SideFrame::Geometric(first.nth(level as u64).frame()))
+            }
+            GeLevels::Sifting { first, count, cap } if level < count => {
+                let ge = SiftingGroupElect::at(
+                    first.offset(level as u64),
+                    sifting_probability(cap, level),
+                );
+                Some(SideFrame::Sifting(ge.frame()))
+            }
+            _ => None,
+        }
     }
 }
 
+/// Sifting round `round`'s write probability in a ladder tuned for `cap`
+/// processes: `π_i = 1/√s_i` with `s_0 = max(cap, 4)` and
+/// `s_{i+1} = max(√s_i, 4)`, the expected survivor count of round `i`.
+pub(crate) fn sifting_probability(cap: usize, round: usize) -> f64 {
+    let mut s = (cap.max(4)) as f64;
+    for _ in 0..round {
+        s = s.sqrt().max(4.0);
+    }
+    SiftingGroupElect::probability_for_expected(s)
+}
+
+/// The ladder structure: one group election + splitter + 2-process LE per
+/// level. Level `i`'s splitter and 2-process election are the 4
+/// registers at `ladder + 4i`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LeChain {
+    ladder: RegId,
+    levels: usize,
+    ges: GeLevels,
+    policy: OverflowPolicy,
+}
+
 impl LeChain {
-    /// Build a ladder from the given group elections (one level per
-    /// element), allocating the splitters and 2-process elections.
+    /// Build a ladder of `levels` levels over the given group elections,
+    /// allocating the splitters and 2-process elections.
     ///
     /// # Panics
     ///
-    /// Panics if `ges` is empty.
+    /// Panics if `levels` is 0.
     pub fn new(
         memory: &mut Memory,
-        ges: Vec<Arc<dyn GroupElect>>,
+        ges: GeLevels,
+        levels: usize,
         policy: OverflowPolicy,
         label: &str,
     ) -> Self {
-        assert!(!ges.is_empty(), "a chain needs at least one level");
-        let levels = ges
-            .into_iter()
-            .map(|ge| Level {
-                ge,
-                sp: Splitter::new(memory, label),
-                le: TwoProcessLe::new(memory, label),
-            })
-            .collect();
+        assert!(levels >= 1, "a chain needs at least one level");
+        let mut ladder = None;
+        for _ in 0..levels {
+            let level = memory.alloc(Splitter::REGISTERS, label).start(); // SP_i
+            memory.alloc(TwoProcessLe::REGISTERS, label); // LE_i
+            ladder.get_or_insert(level);
+        }
+        LeChain::at(ladder.expect("at least one level"), levels, ges, policy)
+    }
+
+    /// The ladder whose level registers start at `ladder`.
+    #[inline]
+    pub(crate) fn at(ladder: RegId, levels: usize, ges: GeLevels, policy: OverflowPolicy) -> Self {
         LeChain {
-            levels: Arc::new(levels),
+            ladder,
+            levels,
+            ges,
             policy,
         }
     }
 
     /// Number of levels.
     pub fn levels(&self) -> usize {
-        self.levels.len()
+        self.levels
     }
 
     /// Registers used by the splitters and 2-process elections
     /// (4 per level; group elections account separately).
     pub fn ladder_registers(&self) -> u64 {
-        self.levels.len() as u64 * (Splitter::REGISTERS + TwoProcessLe::REGISTERS)
+        self.levels as u64 * LEVEL_REGISTERS
     }
 
-    /// Build the `elect()` protocol.
+    /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(ChainProtocol {
-            chain: self.clone(),
+        LeaderElect::elect(self)
+    }
+
+    /// The frame of one `elect()` call.
+    #[inline]
+    pub(crate) fn frame(self) -> ChainFrame {
+        ChainFrame {
+            chain: self,
             state: State::Descend,
             level: 0,
             role: 0,
-        })
+        }
+    }
+
+    #[inline]
+    fn splitter(self, level: usize) -> Splitter {
+        Splitter::at(self.ladder.offset(level as u64 * LEVEL_REGISTERS))
+    }
+
+    #[inline]
+    fn le(self, level: usize) -> TwoProcessLe {
+        TwoProcessLe::at(
+            self.ladder
+                .offset(level as u64 * LEVEL_REGISTERS + Splitter::REGISTERS),
+        )
     }
 }
 
+/// Registers per ladder level: a splitter and a 2-process election.
+const LEVEL_REGISTERS: u64 = Splitter::REGISTERS + TwoProcessLe::REGISTERS;
+
 impl LeaderElect for LeChain {
-    fn elect(&self) -> Box<dyn Protocol> {
-        LeChain::elect(self)
+    fn root(&self) -> LeRoot {
+        LeRoot::Side(SideFrame::Chain(self.frame()))
     }
 }
 
@@ -179,31 +280,38 @@ enum State {
     AfterClimb,
 }
 
-struct ChainProtocol {
+/// One ladder `elect()` call in progress.
+#[derive(Debug, Clone, Copy)]
+pub struct ChainFrame {
     chain: LeChain,
     state: State,
     level: usize,
     role: usize,
 }
 
-impl Protocol for ChainProtocol {
-    fn resume(&mut self, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
+impl ChainFrame {
+    #[inline(always)]
+    pub(crate) fn step(&mut self, mut input: Resume) -> Step {
         loop {
             match self.state {
                 State::Descend => {
                     self.state = State::AfterGe;
-                    return Poll::Call(self.chain.levels[self.level].ge.elect());
+                    match self.chain.ges.elect(self.level) {
+                        Some(ge) => return Step::Call(ge),
+                        // A dummy elects everyone, without a step.
+                        None => input = Resume::Child(ret::WIN),
+                    }
                 }
                 State::AfterGe => {
                     if input.child_value() == ret::LOSE {
-                        return Poll::Done(chain_ret::LOSE);
+                        return Step::Done(chain_ret::LOSE);
                     }
                     self.state = State::AfterSplit;
-                    return Poll::Call(self.chain.levels[self.level].sp.split());
+                    return Step::Call(SideFrame::Split(self.chain.splitter(self.level).frame()));
                 }
                 State::AfterSplit => {
                     match input.child_value() {
-                        v if v == ret::SPLIT_LEFT => return Poll::Done(chain_ret::LOSE),
+                        v if v == ret::SPLIT_LEFT => return Step::Done(chain_ret::LOSE),
                         v if v == ret::SPLIT_STOP => {
                             self.role = 0;
                             self.state = State::Climb;
@@ -211,10 +319,10 @@ impl Protocol for ChainProtocol {
                         }
                         v if v == ret::SPLIT_RIGHT => {
                             self.level += 1;
-                            if self.level == self.chain.levels.len() {
+                            if self.level == self.chain.levels {
                                 return match self.chain.policy {
-                                    OverflowPolicy::Lose => Poll::Done(chain_ret::LOSE),
-                                    OverflowPolicy::Overflow => Poll::Done(chain_ret::OVERFLOW),
+                                    OverflowPolicy::Lose => Step::Done(chain_ret::LOSE),
+                                    OverflowPolicy::Overflow => Step::Done(chain_ret::OVERFLOW),
                                 };
                             }
                             self.state = State::Descend;
@@ -224,14 +332,16 @@ impl Protocol for ChainProtocol {
                 }
                 State::Climb => {
                     self.state = State::AfterClimb;
-                    return Poll::Call(self.chain.levels[self.level].le.elect_as(self.role));
+                    return Step::Call(SideFrame::TwoProcess(
+                        self.chain.le(self.level).frame(self.role),
+                    ));
                 }
                 State::AfterClimb => {
                     if input.child_value() == ret::LOSE {
-                        return Poll::Done(chain_ret::LOSE);
+                        return Step::Done(chain_ret::LOSE);
                     }
                     if self.level == 0 {
-                        return Poll::Done(chain_ret::WIN);
+                        return Step::Done(chain_ret::WIN);
                     }
                     self.level -= 1;
                     self.role = 1;
@@ -240,32 +350,28 @@ impl Protocol for ChainProtocol {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "le-chain"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group_elect::{DummyGroupElect, GeometricGroupElect};
     use rtas_sim::adversary::{RandomSchedule, RoundRobin};
     use rtas_sim::executor::Execution;
     use rtas_sim::word::ProcessId;
 
     fn dummy_chain(memory: &mut Memory, levels: usize) -> LeChain {
-        let ges: Vec<Arc<dyn GroupElect>> = (0..levels)
-            .map(|_| Arc::new(DummyGroupElect::new()) as Arc<dyn GroupElect>)
-            .collect();
-        LeChain::new(memory, ges, OverflowPolicy::Lose, "chain")
+        LeChain::new(
+            memory,
+            GeLevels::Dummy,
+            levels,
+            OverflowPolicy::Lose,
+            "chain",
+        )
     }
 
     fn geometric_chain(memory: &mut Memory, n: usize) -> LeChain {
-        let ges: Vec<Arc<dyn GroupElect>> = (0..n)
-            .map(|_| Arc::new(GeometricGroupElect::new(memory, n, "ge")) as Arc<dyn GroupElect>)
-            .collect();
-        LeChain::new(memory, ges, OverflowPolicy::Lose, "chain")
+        let ges = GeLevels::geometric(memory, n, n, "ge");
+        LeChain::new(memory, ges, n, OverflowPolicy::Lose, "chain")
     }
 
     #[test]
@@ -335,15 +441,17 @@ mod tests {
     fn overflow_policy_reports_fall_off() {
         // One level, two processes: with a dummy GE both get elected; the
         // splitter lets at most one through to level 2 = overflow.
-        let mut mem = Memory::new();
-        let ges: Vec<Arc<dyn GroupElect>> = vec![Arc::new(DummyGroupElect::new())];
-        let chain = LeChain::new(&mut mem, ges, OverflowPolicy::Overflow, "chain");
         let mut overflow_seen = false;
         for seed in 0..60 {
             let mut mem = Memory::new();
-            let ges: Vec<Arc<dyn GroupElect>> = vec![Arc::new(DummyGroupElect::new())];
-            let chain2 = LeChain::new(&mut mem, ges, OverflowPolicy::Overflow, "chain");
-            let protos = (0..2).map(|_| chain2.elect()).collect();
+            let chain = LeChain::new(
+                &mut mem,
+                GeLevels::Dummy,
+                1,
+                OverflowPolicy::Overflow,
+                "chain",
+            );
+            let protos = (0..2).map(|_| chain.elect()).collect();
             let res = Execution::new(mem, protos, seed).run(&mut RandomSchedule::new(seed));
             assert!(res.all_finished());
             let overflows = res.processes_with_outcome(chain_ret::OVERFLOW).len();
@@ -351,7 +459,6 @@ mod tests {
             assert!(wins <= 1);
             overflow_seen |= overflows > 0;
         }
-        let _ = chain;
         assert!(overflow_seen, "no overflow in 60 runs of a 1-level chain");
     }
 
@@ -368,7 +475,22 @@ mod tests {
     #[should_panic(expected = "at least one level")]
     fn empty_chain_panics() {
         let mut mem = Memory::new();
-        let _ = LeChain::new(&mut mem, Vec::new(), OverflowPolicy::Lose, "chain");
+        let _ = LeChain::new(&mut mem, GeLevels::Dummy, 0, OverflowPolicy::Lose, "chain");
+    }
+
+    #[test]
+    fn sifting_levels_follow_the_probability_schedule() {
+        let mut mem = Memory::new();
+        let ges = GeLevels::sifting(&mut mem, 3, 1 << 16, "sift");
+        assert_eq!(mem.declared_registers(), 3);
+        assert_eq!(sifting_probability(1 << 16, 0), 1.0 / 256.0);
+        assert_eq!(sifting_probability(1 << 16, 1), 1.0 / 16.0);
+        assert_eq!(sifting_probability(1 << 16, 2), 1.0 / 4.0);
+        assert!(ges.elect(2).is_some());
+        assert!(
+            ges.elect(3).is_none(),
+            "levels past the real ones are dummies"
+        );
     }
 
     #[test]

@@ -21,19 +21,25 @@
 //! * [`combined`] — the adversary-independence combiner of Section 4
 //!   (Theorem 4.1): run any weak-adversary algorithm alongside RatRace and
 //!   inherit the best step complexity of both.
+//! * [`tas_from_le`] — the standard construction of a linearizable
+//!   one-shot test-and-set from a leader-election object plus one extra
+//!   register.
+//! * [`frame`] — the one protocol core: every algorithm above (and every
+//!   primitive of `rtas_primitives`) as a closed enum of `Copy` frames,
+//!   stepped by the simulator and natively by the same code.
 //! * [`attacks`] — concrete adaptive-adversary strategies, including the
 //!   ascending-write attack that forces Ω(k) steps on the log* algorithm
 //!   (the observation motivating Section 4).
 //!
 //! ```
-//! use rtas_algorithms::LogStarLe;
+//! use rtas_algorithms::{LeaderElect, LogStarLe};
 //! use rtas_sim::prelude::*;
 //! use rtas_sim::protocol::ret;
 //!
 //! let k = 8;
 //! let mut mem = Memory::new();
 //! let le = LogStarLe::new(&mut mem, k);
-//! let protos = (0..k).map(|_| le.elect()).collect();
+//! let protos = (0..k).map(|_| le.elect()).collect(); // LeaderElect::elect
 //! let res = Execution::new(mem, protos, 1).run(&mut RandomSchedule::new(2));
 //! assert!(res.all_finished());
 //! assert_eq!(res.processes_with_outcome(ret::WIN).len(), 1);
@@ -42,11 +48,11 @@
 //! ## The arena-reset contract
 //!
 //! Every constructor here is **arena-resettable**: it allocates the
-//! object's register regions and descriptor tree exactly once, and the
-//! per-call protocols returned by `elect()` assume *only* that every
-//! register holds its initial value 0 when the resolution starts. No
-//! descriptor mutates after construction, and no protocol depends on
-//! which resolution (first or thousandth) it belongs to. Consequently
+//! object's register regions exactly once and returns a `Copy`
+//! descriptor, and the per-call frames assume *only* that every register
+//! holds its initial value 0 when the resolution starts. No descriptor
+//! mutates after construction, and no frame depends on which resolution
+//! (first or thousandth) it belongs to. Consequently
 //! zeroing the registers — [`Memory::reset_values`] in the simulator,
 //! `rtas::native::NativeMemory::reset` on real atomics — returns the
 //! object to its pristine one-shot state, and a fixed pool of objects
@@ -60,21 +66,24 @@
 pub mod attacks;
 pub mod combined;
 pub mod elimination_path;
+pub mod frame;
 pub mod group_elect;
 pub mod le_chain;
 pub mod loglog;
 pub mod logstar;
 pub mod ratrace;
+pub mod tas_from_le;
 
-pub use rtas_primitives::LeaderElect;
+pub use frame::{Frame, FrameStack, LeRoot, LeaderElect, SideFrame};
 
 pub use combined::Combined;
 pub use elimination_path::EliminationPath;
 pub use group_elect::{DummyGroupElect, GeometricGroupElect, GroupElect, SiftingGroupElect};
-pub use le_chain::{ChainOutcome, LeChain, OverflowPolicy};
+pub use le_chain::{ChainOutcome, GeLevels, LeChain, OverflowPolicy};
 pub use loglog::{AaLe, LogLogLe};
 pub use logstar::LogStarLe;
 pub use ratrace::{OriginalRatRace, SpaceEfficientRatRace};
+pub use tas_from_le::TasFromLe;
 
 #[cfg(test)]
 mod reuse_contract {

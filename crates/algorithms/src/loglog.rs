@@ -22,14 +22,14 @@
 //! rounds followed by dummy group elections), so it can never overflow —
 //! every execution elects exactly one leader.
 
-use std::sync::Arc;
-
-use rtas_primitives::{RoleLeaderElect, TwoProcessLe};
+use rtas_primitives::TwoProcessLe;
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Protocol, Resume};
+use rtas_sim::word::RegId;
 
-use crate::group_elect::{ceil_log2, DummyGroupElect, GroupElect, SiftingGroupElect};
-use crate::le_chain::{chain_ret, LeChain, OverflowPolicy};
+use crate::frame::{LeRoot, SideFrame, Step};
+use crate::group_elect::ceil_log2;
+use crate::le_chain::{chain_ret, GeLevels, LeChain, OverflowPolicy};
 use crate::LeaderElect;
 
 /// The **non-adaptive** Alistarh–Aspnes leader election (the prior work
@@ -39,7 +39,7 @@ use crate::LeaderElect;
 ///
 /// Kept as a distinct object because it is the baseline the paper
 /// compares against; [`LogLogLe`] stacks these to get adaptivity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AaLe {
     chain: LeChain,
     sifting_rounds: usize,
@@ -55,15 +55,14 @@ impl AaLe {
         assert!(n >= 1, "need at least one process");
         let n_eff = n.max(4);
         let rounds = sifting_rounds(n_eff);
-        let probs = sifting_probabilities(n_eff, rounds);
-        let mut ges: Vec<Arc<dyn GroupElect>> = probs
-            .iter()
-            .map(|&p| Arc::new(SiftingGroupElect::new(memory, p, "aa-sift")) as Arc<dyn GroupElect>)
-            .collect();
-        while ges.len() < n_eff {
-            ges.push(Arc::new(DummyGroupElect::new()));
-        }
-        let chain = LeChain::new(memory, ges, OverflowPolicy::Lose, "aa-ladder");
+        let ges = GeLevels::sifting(memory, rounds, n_eff, "aa-sift");
+        let chain = LeChain::new(
+            memory,
+            ges,
+            rounds.max(n_eff),
+            OverflowPolicy::Lose,
+            "aa-ladder",
+        );
         AaLe {
             chain,
             sifting_rounds: rounds,
@@ -77,43 +76,28 @@ impl AaLe {
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        self.chain.elect()
+        LeaderElect::elect(self)
     }
 }
 
 impl LeaderElect for AaLe {
-    fn elect(&self) -> Box<dyn Protocol> {
-        AaLe::elect(self)
+    fn root(&self) -> LeRoot {
+        self.chain.root()
     }
 }
 
 /// The Theorem 2.4 leader election.
-#[derive(Clone)]
+///
+/// Layout, one block from `first`: each stage's sifting rounds and then
+/// its ladder, stage after stage, then one final 2-process election per
+/// stage. Stage `j`'s capacity, round count and level count follow from
+/// `n` alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogLogLe {
-    stages: Arc<Vec<LeChain>>,
-    finals: Arc<Vec<TwoProcessLe>>,
+    first: RegId,
+    stages: usize,
+    finals: RegId,
     n: usize,
-}
-
-impl std::fmt::Debug for LogLogLe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LogLogLe")
-            .field("n", &self.n)
-            .field("stages", &self.stages.len())
-            .finish()
-    }
-}
-
-/// Sifting write-probability schedule for a ladder sized for `cap`
-/// processes: `π_i = 1/√s_i`, `s_i = cap^(1/2^i)` (floored at 4).
-fn sifting_probabilities(cap: usize, rounds: usize) -> Vec<f64> {
-    let mut probs = Vec::with_capacity(rounds);
-    let mut s = (cap.max(4)) as f64;
-    for _ in 0..rounds {
-        probs.push(SiftingGroupElect::probability_for_expected(s));
-        s = s.sqrt().max(4.0);
-    }
-    probs
 }
 
 /// Number of sifting rounds for a ladder sized for `cap` processes:
@@ -122,6 +106,17 @@ fn sifting_rounds(cap: usize) -> usize {
     let log = ceil_log2(cap.max(4)) as usize;
     let loglog = ceil_log2(log.max(2)) as usize;
     loglog + 2
+}
+
+/// Capacity of stage `j` of a cascade for `n_eff` processes:
+/// `n_j = 2^(2^(2^j))` (4, 16, 65536, …), clamped at `n_eff`.
+fn stage_cap(n_eff: usize, j: usize) -> usize {
+    let e = 1u32.checked_shl(j as u32).unwrap_or(u32::MAX); // n_j = 2^(2^e)
+    if e >= 6 {
+        n_eff // 2^64 and beyond: clamp
+    } else {
+        (1u64 << (1u64 << e)).min(n_eff as u64) as usize
+    }
 }
 
 impl LogLogLe {
@@ -133,51 +128,32 @@ impl LogLogLe {
     pub fn new(memory: &mut Memory, n: usize) -> Self {
         assert!(n >= 1, "need at least one process");
         let n_eff = n.max(4);
-        // Stage capacities 4, 16, 65536, …, clamped at n.
-        let mut caps = Vec::new();
-        let mut e = 1u32; // exponent tower: n_j = 2^(2^e), e = 2^j
-        loop {
-            let cap = if e >= 6 {
-                n_eff // 2^64 and beyond: clamp
-            } else {
-                (1u64 << (1u64 << e)).min(n_eff as u64) as usize
-            };
-            caps.push(cap);
-            if cap >= n_eff {
-                break;
-            }
-            e = e.saturating_mul(2);
-        }
-        let last = caps.len() - 1;
-        let mut stages = Vec::with_capacity(caps.len());
-        for (j, &cap) in caps.iter().enumerate() {
+        // Stage capacities 4, 16, 65536, …, up to the first that reaches n.
+        let stages = (0..)
+            .position(|j| stage_cap(n_eff, j) >= n_eff)
+            .expect("the cascade reaches n")
+            + 1;
+        let mut first = None;
+        for j in 0..stages {
+            let cap = stage_cap(n_eff, j);
             let rounds = sifting_rounds(cap);
-            let probs = sifting_probabilities(cap, rounds);
-            let mut ges: Vec<Arc<dyn GroupElect>> = probs
-                .iter()
-                .map(|&p| {
-                    Arc::new(SiftingGroupElect::new(memory, p, "loglog-sift"))
-                        as Arc<dyn GroupElect>
-                })
-                .collect();
-            let policy = if j == last {
-                // Final stage: pad with dummies to n levels so the ladder
-                // can never overflow (each splitter retires ≥ 1 process).
-                while ges.len() < n_eff {
-                    ges.push(Arc::new(DummyGroupElect::new()));
-                }
-                OverflowPolicy::Lose
-            } else {
-                OverflowPolicy::Overflow
-            };
-            stages.push(LeChain::new(memory, ges, policy, "loglog-ladder"));
+            let ges = GeLevels::sifting(memory, rounds, cap, "loglog-sift");
+            if let GeLevels::Sifting { first: reg, .. } = ges {
+                first.get_or_insert(reg);
+            }
+            let (levels, policy) = stage_shape(n_eff, j, stages);
+            LeChain::new(memory, ges, levels, policy, "loglog-ladder");
         }
-        let finals = (0..stages.len())
-            .map(|_| TwoProcessLe::new(memory, "loglog-final"))
-            .collect();
+        let finals = memory
+            .alloc(TwoProcessLe::REGISTERS, "loglog-final")
+            .start();
+        for _ in 1..stages {
+            memory.alloc(TwoProcessLe::REGISTERS, "loglog-final");
+        }
         LogLogLe {
-            stages: Arc::new(stages),
-            finals: Arc::new(finals),
+            first: first.expect("every stage has sifting rounds"),
+            stages,
+            finals,
             n,
         }
     }
@@ -189,22 +165,69 @@ impl LogLogLe {
 
     /// Number of ladders in the cascade.
     pub fn stages(&self) -> usize {
-        self.stages.len()
+        self.stages
     }
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(LogLogProtocol {
-            le: self.clone(),
+        LeaderElect::elect(self)
+    }
+
+    /// The frame of one `elect()` call.
+    #[inline]
+    pub(crate) fn frame(self) -> LogLogFrame {
+        LogLogFrame {
+            le: self,
             state: State::Stage,
             index: 0,
-        })
+        }
+    }
+
+    /// Ladder `j` of the cascade.
+    fn stage(self, j: usize) -> LeChain {
+        let n_eff = self.n.max(4);
+        let mut at = self.first;
+        for i in 0.. {
+            let cap = stage_cap(n_eff, i);
+            let rounds = sifting_rounds(cap);
+            let (levels, policy) = stage_shape(n_eff, i, self.stages);
+            let ges = GeLevels::Sifting {
+                first: at,
+                count: rounds,
+                cap,
+            };
+            let ladder = at.offset(rounds as u64);
+            let chain = LeChain::at(ladder, levels, ges, policy);
+            if i == j {
+                return chain;
+            }
+            at = ladder.offset(chain.ladder_registers());
+        }
+        unreachable!("stage {j} past the cascade")
+    }
+
+    #[inline]
+    fn final_le(self, j: usize) -> TwoProcessLe {
+        TwoProcessLe::at(self.finals.offset(j as u64 * TwoProcessLe::REGISTERS))
+    }
+}
+
+/// Levels and overflow policy of stage `j` of `stages`: an early stage
+/// has one level per sifting round and overflows into the next; the last
+/// pads with dummies to `n_eff` levels so it can never overflow (each
+/// splitter retires ≥ 1 process).
+fn stage_shape(n_eff: usize, j: usize, stages: usize) -> (usize, OverflowPolicy) {
+    let rounds = sifting_rounds(stage_cap(n_eff, j));
+    if j + 1 == stages {
+        (rounds.max(n_eff), OverflowPolicy::Lose)
+    } else {
+        (rounds, OverflowPolicy::Overflow)
     }
 }
 
 impl LeaderElect for LogLogLe {
-    fn elect(&self) -> Box<dyn Protocol> {
-        LogLogLe::elect(self)
+    fn root(&self) -> LeRoot {
+        LeRoot::Side(SideFrame::LogLog(self.frame()))
     }
 }
 
@@ -218,50 +241,57 @@ enum State {
     FinalAsWinner,
     /// About to play final `index` as role 1 (came from final `index+1`).
     FinalAsClimber,
-    /// Waiting for final `index` (previous role in `came_as_winner`).
+    /// Waiting for final `index`.
     AfterFinal,
 }
 
-struct LogLogProtocol {
+/// One cascade `elect()` call in progress.
+#[derive(Debug, Clone, Copy)]
+pub struct LogLogFrame {
     le: LogLogLe,
     state: State,
     index: usize,
 }
 
-impl Protocol for LogLogProtocol {
-    fn resume(&mut self, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
+impl LogLogFrame {
+    #[inline(always)]
+    pub(crate) fn step(&mut self, input: Resume) -> Step {
         loop {
             match self.state {
                 State::Stage => {
                     self.state = State::AfterStage;
-                    return Poll::Call(self.le.stages[self.index].elect());
+                    return Step::Call(SideFrame::Chain(self.le.stage(self.index).frame()));
                 }
                 State::AfterStage => match input.child_value() {
                     v if v == chain_ret::WIN => {
                         self.state = State::FinalAsWinner;
                     }
-                    v if v == chain_ret::LOSE => return Poll::Done(ret::LOSE),
+                    v if v == chain_ret::LOSE => return Step::Done(ret::LOSE),
                     v if v == chain_ret::OVERFLOW => {
                         self.index += 1;
-                        debug_assert!(self.index < self.le.stages.len());
+                        debug_assert!(self.index < self.le.stages);
                         self.state = State::Stage;
                     }
                     other => panic!("invalid stage result {other}"),
                 },
                 State::FinalAsWinner => {
                     self.state = State::AfterFinal;
-                    return Poll::Call(self.le.finals[self.index].elect_as(0));
+                    return Step::Call(SideFrame::TwoProcess(
+                        self.le.final_le(self.index).frame(0),
+                    ));
                 }
                 State::FinalAsClimber => {
                     self.state = State::AfterFinal;
-                    return Poll::Call(self.le.finals[self.index].elect_as(1));
+                    return Step::Call(SideFrame::TwoProcess(
+                        self.le.final_le(self.index).frame(1),
+                    ));
                 }
                 State::AfterFinal => {
                     if input.child_value() == ret::LOSE {
-                        return Poll::Done(ret::LOSE);
+                        return Step::Done(ret::LOSE);
                     }
                     if self.index == 0 {
-                        return Poll::Done(ret::WIN);
+                        return Step::Done(ret::WIN);
                     }
                     self.index -= 1;
                     self.state = State::FinalAsClimber;
@@ -269,15 +299,12 @@ impl Protocol for LogLogProtocol {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "loglog-le"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::le_chain::sifting_probability;
     use rtas_sim::adversary::{RandomSchedule, RoundRobin};
     use rtas_sim::executor::Execution;
     use rtas_sim::word::ProcessId;
@@ -291,7 +318,7 @@ mod tests {
 
     #[test]
     fn probability_schedule_is_decreasing_in_survivors() {
-        let probs = sifting_probabilities(65536, 5);
+        let probs: Vec<f64> = (0..5).map(|i| sifting_probability(65536, i)).collect();
         assert_eq!(probs.len(), 5);
         // π grows as survivors shrink.
         for w in probs.windows(2) {
@@ -375,6 +402,27 @@ mod tests {
         let le = AaLe::new(&mut mem, 1 << 16);
         // ⌈log₂ log₂ 65536⌉ + 2 = 6.
         assert_eq!(le.sifting_rounds(), 6);
+    }
+
+    #[test]
+    fn stages_tile_the_cascade_block() {
+        // Each stage's sifting rounds and ladder sit right after the
+        // previous stage's; the finals follow the last ladder.
+        for n in [4usize, 16, 17, 100, 1 << 16] {
+            let mut mem = Memory::new();
+            let le = LogLogLe::new(&mut mem, n);
+            let mut end = le.first;
+            for j in 0..le.stages() {
+                let chain = le.stage(j);
+                let (levels, _) = stage_shape(n.max(4), j, le.stages());
+                assert_eq!(chain.levels(), levels, "n={n} stage {j}");
+                end = end.offset(sifting_rounds(stage_cap(n.max(4), j)) as u64);
+                end = end.offset(chain.ladder_registers());
+            }
+            assert_eq!(end, le.finals, "n={n}");
+            let total = le.finals.offset(le.stages() as u64 * 2);
+            assert_eq!(total.0, mem.declared_registers(), "n={n}");
+        }
     }
 
     #[test]

@@ -17,17 +17,15 @@
 //! shows the adaptive adversary forcing Ω(k) on this same algorithm — the
 //! observation motivating Section 4's combiner.
 
-use std::sync::Arc;
-
 use rtas_sim::memory::Memory;
 use rtas_sim::protocol::Protocol;
 
-use crate::group_elect::{DummyGroupElect, GeometricGroupElect, GroupElect};
-use crate::le_chain::{LeChain, OverflowPolicy};
+use crate::frame::LeRoot;
+use crate::le_chain::{GeLevels, LeChain, OverflowPolicy};
 use crate::LeaderElect;
 
 /// The Theorem 2.3 leader election.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogStarLe {
     chain: LeChain,
     n: usize,
@@ -61,18 +59,10 @@ impl LogStarLe {
         assert!(n >= 1, "need at least one process");
         let n_eff = n.max(2);
         assert!(real_levels <= n_eff, "more real levels than ladder levels");
-        let mut ges: Vec<Arc<dyn GroupElect>> = Vec::with_capacity(n_eff);
-        for _ in 0..real_levels {
-            ges.push(Arc::new(GeometricGroupElect::new(
-                memory,
-                n_eff,
-                "logstar-ge",
-            )));
-        }
-        for _ in real_levels..n_eff {
-            ges.push(Arc::new(DummyGroupElect::new()));
-        }
-        let chain = LeChain::new(memory, ges, OverflowPolicy::Lose, "logstar-ladder");
+        // Geometric group elections on the first `real_levels` levels,
+        // dummies on the rest.
+        let ges = GeLevels::geometric(memory, real_levels, n_eff, "logstar-ge");
+        let chain = LeChain::new(memory, ges, n_eff, OverflowPolicy::Lose, "logstar-ladder");
         LogStarLe {
             chain,
             n,
@@ -97,13 +87,13 @@ impl LogStarLe {
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        self.chain.elect()
+        LeaderElect::elect(self)
     }
 }
 
 impl LeaderElect for LogStarLe {
-    fn elect(&self) -> Box<dyn Protocol> {
-        LogStarLe::elect(self)
+    fn root(&self) -> LeRoot {
+        self.chain.root()
     }
 }
 

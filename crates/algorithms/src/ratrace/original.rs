@@ -15,14 +15,12 @@
 //! table (Θ(n³) declared vs Θ(n) for the Section 3.2 redesign) and for
 //! step-complexity cross-checks.
 
-use std::sync::Arc;
+use rtas_primitives::{RSplitter, Splitter, ThreeProcessLe, TwoProcessLe};
+use rtas_sim::memory::Memory;
+use rtas_sim::protocol::{ret, Ctx, Protocol, Resume};
+use rtas_sim::word::RegId;
 
-use rtas_primitives::{
-    RSplitter, RoleLeaderElect, Splitter, SplitterObject, ThreeProcessLe, TwoProcessLe,
-};
-use rtas_sim::memory::{Memory, RegRange};
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
-
+use crate::frame::{LeRoot, SideFrame, Step};
 use crate::group_elect::ceil_log2;
 use crate::LeaderElect;
 
@@ -30,50 +28,26 @@ use crate::LeaderElect;
 /// plus one 3-process election (4).
 const NODE_REGS: u64 = 6;
 
-struct Structure {
-    tree: RegRange,
+/// The longest grid descent a frame records. With `k` processes in the
+/// grid, every process wins a splitter within `k − 1` moves, so this
+/// covers up to 129 grid entrants; reaching the grid at all needs a
+/// process to fall off a tree of height `3·log₂ n`.
+const MAX_GRID_MOVES: u32 = 128;
+
+/// The original RatRace leader election.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OriginalRatRace {
+    /// Node `h` (heap index, from 1) owns the 6 registers at
+    /// `tree + 6(h − 1)`.
+    tree: RegId,
     tree_height: u32,
     /// Number of tree nodes (heap indices `1 ..= tree_nodes`).
     tree_nodes: u64,
-    grid: RegRange,
+    /// Grid node `(i, j)` owns the 6 registers at `grid + 6(i·n + j)`.
+    grid: RegId,
     n: u64,
     letop: TwoProcessLe,
-}
-
-impl Structure {
-    fn tree_node(&self, heap_index: u64) -> (RSplitter, ThreeProcessLe) {
-        debug_assert!((1..=self.tree_nodes).contains(&heap_index));
-        let base = self.tree.sub((heap_index - 1) * NODE_REGS, NODE_REGS);
-        (
-            RSplitter::from_range(base.sub(0, 2)),
-            ThreeProcessLe::from_range(base.sub(2, 4)),
-        )
-    }
-
-    fn grid_node(&self, i: u64, j: u64) -> (Splitter, ThreeProcessLe) {
-        debug_assert!(i < self.n && j < self.n);
-        let base = self.grid.sub((i * self.n + j) * NODE_REGS, NODE_REGS);
-        (
-            Splitter::from_range(base.sub(0, 2)),
-            ThreeProcessLe::from_range(base.sub(2, 4)),
-        )
-    }
-}
-
-/// The original RatRace leader election.
-#[derive(Clone)]
-pub struct OriginalRatRace {
-    s: Arc<Structure>,
     capacity: usize,
-}
-
-impl std::fmt::Debug for OriginalRatRace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OriginalRatRace")
-            .field("n", &self.capacity)
-            .field("tree_height", &self.s.tree_height)
-            .finish()
-    }
 }
 
 impl OriginalRatRace {
@@ -94,14 +68,12 @@ impl OriginalRatRace {
         let grid = memory.alloc_lazy(n_eff * n_eff * NODE_REGS, "ratrace-orig-grid");
         let letop = TwoProcessLe::new(memory, "ratrace-orig-letop");
         OriginalRatRace {
-            s: Arc::new(Structure {
-                tree,
-                tree_height,
-                tree_nodes,
-                grid,
-                n: n_eff,
-                letop,
-            }),
+            tree: tree.start(),
+            tree_height,
+            tree_nodes,
+            grid: grid.start(),
+            n: n_eff,
+            letop,
             capacity: n,
         }
     }
@@ -113,32 +85,57 @@ impl OriginalRatRace {
 
     /// Height of the primary tree (`3·⌈log₂ n⌉`).
     pub fn tree_height(&self) -> u32 {
-        self.s.tree_height
+        self.tree_height
     }
 
     /// Total declared registers (Θ(n³)).
     pub fn declared_registers(&self) -> u64 {
-        self.s.tree_nodes * NODE_REGS + self.s.n * self.s.n * NODE_REGS + TwoProcessLe::REGISTERS
+        self.tree_nodes * NODE_REGS + self.n * self.n * NODE_REGS + TwoProcessLe::REGISTERS
     }
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(OriginalProtocol {
-            rr: self.clone(),
-            state: State::TreeSplit,
+        LeaderElect::elect(self)
+    }
+
+    /// The frame of one `elect()` call.
+    #[inline]
+    pub(crate) fn frame(self) -> OriginalFrame {
+        OriginalFrame {
+            rr: self,
             node: 1,
-            role: 2,
             gi: 0,
             gj: 0,
-            grid_path: Vec::new(),
-        })
+            grid_path: [0; 2],
+            grid_moves: 0,
+            role: 2,
+            state: State::TreeSplit,
+        }
+    }
+
+    #[inline]
+    fn tree_node(self, heap_index: u64) -> RegId {
+        debug_assert!((1..=self.tree_nodes).contains(&heap_index));
+        self.tree.offset((heap_index - 1) * NODE_REGS)
+    }
+
+    #[inline]
+    fn grid_node(self, i: u64, j: u64) -> RegId {
+        debug_assert!(i < self.n && j < self.n);
+        self.grid.offset((i * self.n + j) * NODE_REGS)
     }
 }
 
 impl LeaderElect for OriginalRatRace {
-    fn elect(&self) -> Box<dyn Protocol> {
-        OriginalRatRace::elect(self)
+    fn root(&self) -> LeRoot {
+        LeRoot::Side(SideFrame::OriginalRatRace(self.frame()))
     }
+}
+
+/// The 3-process election of the node whose registers start at `node`.
+#[inline]
+fn node_le(node: RegId) -> ThreeProcessLe {
+    ThreeProcessLe::at(node.offset(Splitter::REGISTERS))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,29 +151,57 @@ enum State {
     AfterTop,
 }
 
-struct OriginalProtocol {
+/// One original RatRace `elect()` call in progress.
+#[derive(Debug, Clone, Copy)]
+pub struct OriginalFrame {
     rr: OriginalRatRace,
-    state: State,
     /// Tree heap index during tree phases.
     node: u64,
-    /// Role for the next 3-process election.
-    role: usize,
     /// Grid coordinates during grid phases.
     gi: u64,
     gj: u64,
-    /// Descent path through the grid: `true` = moved down (`L`, i+1),
-    /// `false` = moved right (`R`, j+1). Needed to climb back.
-    grid_path: Vec<bool>,
+    /// Descent path through the grid, one bit per move: set = moved
+    /// down (`L`, i+1), clear = moved right (`R`, j+1). Needed to climb
+    /// back.
+    grid_path: [u64; 2],
+    grid_moves: u32,
+    /// Role for the next 3-process election.
+    role: u8,
+    state: State,
 }
 
-impl Protocol for OriginalProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
-        let s = Arc::clone(&self.rr.s);
+impl OriginalFrame {
+    #[inline]
+    fn push_move(&mut self, went_down: bool) {
+        assert!(
+            self.grid_moves < MAX_GRID_MOVES,
+            "grid descent longer than {MAX_GRID_MOVES} moves"
+        );
+        let (word, bit) = (self.grid_moves as usize / 64, self.grid_moves % 64);
+        self.grid_path[word] &= !(1 << bit);
+        self.grid_path[word] |= u64::from(went_down) << bit;
+        self.grid_moves += 1;
+    }
+
+    #[inline]
+    fn pop_move(&mut self) -> Option<bool> {
+        if self.grid_moves == 0 {
+            return None;
+        }
+        self.grid_moves -= 1;
+        let (word, bit) = (self.grid_moves as usize / 64, self.grid_moves % 64);
+        Some(self.grid_path[word] >> bit & 1 == 1)
+    }
+
+    #[inline(always)]
+    pub(crate) fn step(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Step {
+        let s = self.rr;
         loop {
             match self.state {
                 State::TreeSplit => {
                     self.state = State::AfterTreeSplit;
-                    return Poll::Call(s.tree_node(self.node).0.split());
+                    let sp = RSplitter::at(s.tree_node(self.node));
+                    return Step::Call(SideFrame::RSplit(sp.frame()));
                 }
                 State::AfterTreeSplit => match input.child_value() {
                     v if v == ret::SPLIT_STOP => {
@@ -190,7 +215,7 @@ impl Protocol for OriginalProtocol {
                             // Fell off the tree: enter the grid at (0,0).
                             self.gi = 0;
                             self.gj = 0;
-                            self.grid_path.clear();
+                            self.grid_moves = 0;
                             self.state = State::GridSplit;
                         } else {
                             self.node = child;
@@ -200,23 +225,25 @@ impl Protocol for OriginalProtocol {
                 },
                 State::TreeClimb => {
                     self.state = State::AfterTreeClimb;
-                    return Poll::Call(s.tree_node(self.node).1.elect_as(self.role));
+                    let le = node_le(s.tree_node(self.node));
+                    return Step::Call(SideFrame::ThreeProcess(le.frame(self.role.into())));
                 }
                 State::AfterTreeClimb => {
                     if input.child_value() == ret::LOSE {
-                        return Poll::Done(ret::LOSE);
+                        return Step::Done(ret::LOSE);
                     }
                     if self.node == 1 {
                         self.state = State::AfterTop;
-                        return Poll::Call(s.letop.elect_as(0));
+                        return Step::Call(SideFrame::TwoProcess(s.letop.frame(0)));
                     }
-                    self.role = (self.node % 2) as usize;
+                    self.role = (self.node % 2) as u8;
                     self.node /= 2;
                     self.state = State::TreeClimb;
                 }
                 State::GridSplit => {
                     self.state = State::AfterGridSplit;
-                    return Poll::Call(s.grid_node(self.gi, self.gj).0.split());
+                    let sp = Splitter::at(s.grid_node(self.gi, self.gj));
+                    return Step::Call(SideFrame::Split(sp.frame()));
                 }
                 State::AfterGridSplit => match input.child_value() {
                     v if v == ret::SPLIT_STOP => {
@@ -229,30 +256,31 @@ impl Protocol for OriginalProtocol {
                         // grid's edge for k ≤ n processes.
                         assert!(self.gi + 1 < s.n, "fell off the grid (L edge)");
                         self.gi += 1;
-                        self.grid_path.push(true);
+                        self.push_move(true);
                         self.state = State::GridSplit;
                     }
                     v if v == ret::SPLIT_RIGHT => {
                         assert!(self.gj + 1 < s.n, "fell off the grid (R edge)");
                         self.gj += 1;
-                        self.grid_path.push(false);
+                        self.push_move(false);
                         self.state = State::GridSplit;
                     }
                     other => panic!("invalid splitter result {other}"),
                 },
                 State::GridClimb => {
                     self.state = State::AfterGridClimb;
-                    return Poll::Call(s.grid_node(self.gi, self.gj).1.elect_as(self.role));
+                    let le = node_le(s.grid_node(self.gi, self.gj));
+                    return Step::Call(SideFrame::ThreeProcess(le.frame(self.role.into())));
                 }
                 State::AfterGridClimb => {
                     if input.child_value() == ret::LOSE {
-                        return Poll::Done(ret::LOSE);
+                        return Step::Done(ret::LOSE);
                     }
-                    match self.grid_path.pop() {
+                    match self.pop_move() {
                         None => {
                             // Back at (0,0): grid winner.
                             self.state = State::AfterTop;
-                            return Poll::Call(s.letop.elect_as(1));
+                            return Step::Call(SideFrame::TwoProcess(s.letop.frame(1)));
                         }
                         Some(went_down) => {
                             if went_down {
@@ -266,13 +294,9 @@ impl Protocol for OriginalProtocol {
                         }
                     }
                 }
-                State::AfterTop => return Poll::Done(input.child_value()),
+                State::AfterTop => return Step::Done(input.child_value()),
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "original-ratrace"
     }
 }
 
@@ -323,6 +347,20 @@ mod tests {
         assert!(res.all_finished());
         let touched = res.memory().touched_registers();
         assert!(touched < 3_000, "touched {touched} registers for k=8");
+    }
+
+    #[test]
+    fn grid_path_records_long_descents() {
+        let mut mem = Memory::new();
+        let mut frame = OriginalRatRace::new(&mut mem, 4).frame();
+        let moves: Vec<bool> = (0..MAX_GRID_MOVES).map(|i| i % 3 == 0).collect();
+        for &m in &moves {
+            frame.push_move(m);
+        }
+        for &m in moves.iter().rev() {
+            assert_eq!(frame.pop_move(), Some(m));
+        }
+        assert_eq!(frame.pop_move(), None);
     }
 
     #[test]

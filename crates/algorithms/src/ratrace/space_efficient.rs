@@ -20,50 +20,37 @@
 //! 0/1 at ancestors according to the child the process came from; an
 //! overflow-path winner enters its leaf as role 0).
 
-use std::sync::Arc;
-
-use rtas_primitives::{RSplitter, RoleLeaderElect, SplitterObject, ThreeProcessLe, TwoProcessLe};
+use rtas_primitives::{RSplitter, ThreeProcessLe, TwoProcessLe};
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Ctx, Protocol, Resume};
+use rtas_sim::word::RegId;
 
 use crate::elimination_path::{path_ret, EliminationPath};
+use crate::frame::{LeRoot, SideFrame, Step};
 use crate::group_elect::ceil_log2;
 use crate::LeaderElect;
 
-struct TreeNode {
-    rsp: RSplitter,
-    le: ThreeProcessLe,
-}
-
-struct Structure {
-    /// Heap-ordered nodes, 1-based: root is `nodes[1]`, children of `i`
-    /// are `2i` and `2i + 1`. `nodes[0]` is unused padding.
-    nodes: Vec<TreeNode>,
-    height: u32,
-    /// First leaf index: `2^height`.
-    leaf_base: usize,
-    paths: Vec<EliminationPath>,
-    backup: EliminationPath,
-    letop: TwoProcessLe,
-    /// `⌈log₂ n⌉` used for the leaf → path mapping.
-    log_n: usize,
-}
+/// Registers per tree node: a randomized splitter (2) and a 3-process
+/// election (4).
+const NODE_REGISTERS: u64 = RSplitter::REGISTERS + ThreeProcessLe::REGISTERS;
 
 /// The Section 3.2 leader election.
-#[derive(Clone)]
+///
+/// Layout, one block from `tree`: the `2 · 2^height` heap-ordered tree
+/// nodes at 6 registers each (node 0 is unused padding; the root is node
+/// 1 and the children of `i` are `2i` and `2i + 1`), then the overflow
+/// paths, the backup path and `LEtop`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpaceEfficientRatRace {
-    s: Arc<Structure>,
+    tree: RegId,
+    height: u32,
+    /// `⌈log₂ n⌉` (at least 1), used for the leaf → path mapping.
+    log_n: usize,
+    /// Number of overflow paths.
+    paths: usize,
+    backup: EliminationPath,
+    letop: TwoProcessLe,
     n: usize,
-}
-
-impl std::fmt::Debug for SpaceEfficientRatRace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpaceEfficientRatRace")
-            .field("n", &self.n)
-            .field("height", &self.s.height)
-            .field("paths", &self.s.paths.len())
-            .finish()
-    }
 }
 
 impl SpaceEfficientRatRace {
@@ -78,31 +65,27 @@ impl SpaceEfficientRatRace {
         let height = ceil_log2(n_eff);
         let leaves = 1usize << height;
         let node_count = 2 * leaves; // indices 1 .. 2*leaves - 1, plus pad 0
-        let mut nodes = Vec::with_capacity(node_count);
+        let mut tree = None;
         for _ in 0..node_count {
-            nodes.push(TreeNode {
-                rsp: RSplitter::new(memory, "ratrace-tree"),
-                le: ThreeProcessLe::new(memory, "ratrace-tree"),
-            });
+            let node = memory.alloc(RSplitter::REGISTERS, "ratrace-tree").start();
+            ThreeProcessLe::new(memory, "ratrace-tree");
+            tree.get_or_insert(node);
         }
+        let tree = tree.expect("the tree has nodes");
         let log_n = (height as usize).max(1);
-        let num_paths = leaves.div_ceil(log_n);
-        let path_len = 4 * log_n;
-        let paths = (0..num_paths)
-            .map(|_| EliminationPath::new(memory, path_len, "ratrace-overflow-path"))
-            .collect();
+        let paths = leaves.div_ceil(log_n);
+        for _ in 0..paths {
+            EliminationPath::new(memory, 4 * log_n, "ratrace-overflow-path");
+        }
         let backup = EliminationPath::new(memory, n_eff, "ratrace-backup-path");
         let letop = TwoProcessLe::new(memory, "ratrace-letop");
         SpaceEfficientRatRace {
-            s: Arc::new(Structure {
-                nodes,
-                height,
-                leaf_base: leaves,
-                paths,
-                backup,
-                letop,
-                log_n,
-            }),
+            tree,
+            height,
+            log_n,
+            paths,
+            backup,
+            letop,
             n,
         }
     }
@@ -114,28 +97,62 @@ impl SpaceEfficientRatRace {
 
     /// Primary-tree height.
     pub fn height(&self) -> u32 {
-        self.s.height
+        self.height
     }
 
     /// Number of overflow elimination paths.
     pub fn overflow_paths(&self) -> usize {
-        self.s.paths.len()
+        self.paths
     }
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(RatRaceProtocol {
-            rr: self.clone(),
+        LeaderElect::elect(self)
+    }
+
+    /// The frame of one `elect()` call.
+    #[inline]
+    pub(crate) fn frame(self) -> RatRaceFrame {
+        RatRaceFrame {
+            rr: self,
             state: State::Split,
             node: 1,
             role: 2,
-        })
+        }
+    }
+
+    /// First leaf index: `2^height`.
+    #[inline]
+    fn leaf_base(self) -> usize {
+        1 << self.height
+    }
+
+    /// Heap index one past the last tree node.
+    #[inline]
+    fn nodes(self) -> usize {
+        2 * self.leaf_base()
+    }
+
+    #[inline]
+    fn node(self, index: usize) -> RegId {
+        self.tree.offset(index as u64 * NODE_REGISTERS)
+    }
+
+    /// Overflow path `index`; the paths follow the tree.
+    #[inline]
+    fn path(self, index: usize) -> EliminationPath {
+        let length = 4 * self.log_n;
+        let stride = EliminationPath::at(self.tree, length).registers();
+        EliminationPath::at(
+            self.node(self.nodes()).offset(index as u64 * stride),
+            length,
+        )
     }
 }
 
 impl LeaderElect for SpaceEfficientRatRace {
-    fn elect(&self) -> Box<dyn Protocol> {
-        SpaceEfficientRatRace::elect(self)
+    fn root(&self) -> LeRoot {
+        LeRoot::Side(SideFrame::RatRace(self.frame()))
     }
 }
 
@@ -159,7 +176,9 @@ enum State {
     AfterTop,
 }
 
-struct RatRaceProtocol {
+/// One space-efficient RatRace `elect()` call in progress.
+#[derive(Debug, Clone, Copy)]
+pub struct RatRaceFrame {
     rr: SpaceEfficientRatRace,
     state: State,
     /// Current tree node (heap index) or path index, depending on state.
@@ -168,14 +187,15 @@ struct RatRaceProtocol {
     role: usize,
 }
 
-impl Protocol for RatRaceProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
-        let s = &self.rr.s;
+impl RatRaceFrame {
+    #[inline(always)]
+    pub(crate) fn step(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Step {
+        let s = self.rr;
         loop {
             match self.state {
                 State::Split => {
                     self.state = State::AfterSplit;
-                    return Poll::Call(s.nodes[self.node].rsp.split());
+                    return Step::Call(SideFrame::RSplit(RSplitter::at(s.node(self.node)).frame()));
                 }
                 State::AfterSplit => {
                     match input.child_value() {
@@ -186,11 +206,11 @@ impl Protocol for RatRaceProtocol {
                         }
                         v => {
                             let child = 2 * self.node + usize::from(v == ret::SPLIT_RIGHT);
-                            if child >= s.nodes.len() {
+                            if child >= s.nodes() {
                                 // Fell off a leaf: leaf index j, enter
                                 // overflow path ⌊j / log n⌋.
-                                let leaf_j = self.node - s.leaf_base;
-                                self.node = (leaf_j / s.log_n).min(s.paths.len() - 1);
+                                let leaf_j = self.node - s.leaf_base();
+                                self.node = (leaf_j / s.log_n).min(s.paths - 1);
                                 self.state = State::EnterPath;
                             } else {
                                 self.node = child;
@@ -201,47 +221,48 @@ impl Protocol for RatRaceProtocol {
                 }
                 State::EnterPath => {
                     self.state = State::AfterPath;
-                    return Poll::Call(s.paths[self.node].enter());
+                    return Step::Call(SideFrame::Path(s.path(self.node).frame()));
                 }
                 State::AfterPath => match input.child_value() {
                     v if v == path_ret::WIN => {
                         // Re-enter the tree at leaf `path index` as role 0.
-                        self.node += s.leaf_base;
+                        self.node += s.leaf_base();
                         self.role = 0;
                         self.state = State::Climb;
                     }
-                    v if v == path_ret::LOSE => return Poll::Done(ret::LOSE),
+                    v if v == path_ret::LOSE => return Step::Done(ret::LOSE),
                     v if v == path_ret::FELL_OFF => {
                         self.state = State::AfterBackup;
-                        return Poll::Call(s.backup.enter());
+                        return Step::Call(SideFrame::Path(s.backup.frame()));
                     }
                     other => panic!("invalid path result {other}"),
                 },
                 State::AfterBackup => match input.child_value() {
                     v if v == path_ret::WIN => {
                         self.state = State::AfterTop;
-                        return Poll::Call(s.letop.elect_as(1));
+                        return Step::Call(SideFrame::TwoProcess(s.letop.frame(1)));
                     }
-                    v if v == path_ret::LOSE => return Poll::Done(ret::LOSE),
+                    v if v == path_ret::LOSE => return Step::Done(ret::LOSE),
                     v if v == path_ret::FELL_OFF => {
                         // Unreachable with k ≤ n entrants (Claim 3.1);
                         // losing is the safe fallback.
                         debug_assert!(false, "backup path overflow with k <= n");
-                        return Poll::Done(ret::LOSE);
+                        return Step::Done(ret::LOSE);
                     }
                     other => panic!("invalid backup result {other}"),
                 },
                 State::Climb => {
                     self.state = State::AfterClimb;
-                    return Poll::Call(s.nodes[self.node].le.elect_as(self.role));
+                    let le = ThreeProcessLe::at(s.node(self.node).offset(RSplitter::REGISTERS));
+                    return Step::Call(SideFrame::ThreeProcess(le.frame(self.role)));
                 }
                 State::AfterClimb => {
                     if input.child_value() == ret::LOSE {
-                        return Poll::Done(ret::LOSE);
+                        return Step::Done(ret::LOSE);
                     }
                     if self.node == 1 {
                         self.state = State::AfterTop;
-                        return Poll::Call(s.letop.elect_as(0));
+                        return Step::Call(SideFrame::TwoProcess(s.letop.frame(0)));
                     }
                     // Move to the parent; the role encodes which child we
                     // came from (even heap index = left child = role 0).
@@ -249,13 +270,9 @@ impl Protocol for RatRaceProtocol {
                     self.node /= 2;
                     self.state = State::Climb;
                 }
-                State::AfterTop => return Poll::Done(input.child_value()),
+                State::AfterTop => return Step::Done(input.child_value()),
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "space-efficient-ratrace"
     }
 }
 

@@ -26,7 +26,7 @@
 //! `baselines/`. Pass `--no-json` to skip the files.
 
 use rtas_bench::experiments;
-use rtas_bench::report::{BenchReport, BenchRow};
+use rtas_bench::report::BenchReport;
 use rtas_bench::runner::TrialRunner;
 use rtas_bench::scenarios;
 use rtas_bench::Scale;
@@ -36,30 +36,6 @@ fn write_report(report: BenchReport) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(err) => eprintln!("failed to write {}: {err}", report.path().display()),
     }
-}
-
-fn report_from_rows(
-    name: &'static str,
-    threads: usize,
-    rows: impl IntoIterator<Item = BenchRow>,
-) -> BenchReport {
-    let mut report = BenchReport::new(name, threads);
-    for row in rows {
-        report.push(row);
-    }
-    report
-}
-
-fn scenario_grid_report(
-    name: &'static str,
-    rows: &[experiments::E11Row],
-    threads: usize,
-) -> BenchReport {
-    let mut report = BenchReport::new(name, threads);
-    for row in rows {
-        report.push(row.bench_row());
-    }
-    report
 }
 
 fn main() {
@@ -116,10 +92,10 @@ fn main() {
         if !no_json {
             // A distinct file name, so drilling into one cell never
             // clobbers the full-grid BENCH_scenario_grid.json.
-            write_report(scenario_grid_report(
+            write_report(experiments::report_from_rows(
                 "scenario_cell",
-                &rows,
                 runner.threads(),
+                rows.iter().map(|r| r.bench_row()),
             ));
         }
         return;
@@ -131,156 +107,13 @@ fn main() {
         "randomized test-and-set reproduction — experiments (scale: {scale:?}, threads: {})",
         runner.threads()
     );
-    let threads = runner.threads();
-    if run("e1") {
-        let rows = experiments::e1_group_election_performance(scale, &runner);
-        if !no_json {
-            write_report(report_from_rows(
-                "group_election",
-                threads,
-                rows.iter().map(|r| r.bench_row()),
-            ));
-        }
-    }
-    if run("e2") {
-        let rows = experiments::e2_logstar_steps(scale, &runner);
-        if !no_json {
-            write_report(report_from_rows(
-                "step_complexity",
-                threads,
-                rows.iter().map(|r| {
-                    r.steps
-                        .bench_row()
-                        .with("log_star", r.log_star as f64)
-                        .with("registers", r.registers as f64)
-                }),
-            ));
-        }
-    }
-    if run("e3") {
-        let rows = experiments::e3_loglog_steps(scale, &runner);
-        if !no_json {
-            write_report(report_from_rows(
-                "loglog_steps",
-                threads,
-                rows.iter().map(|r| {
-                    r.steps
-                        .bench_row()
-                        .with("baseline_mean", r.baseline.mean_max_steps)
-                }),
-            ));
-        }
-    }
-    if run("e4") {
-        let rows = experiments::e4_ratrace(scale, &runner);
-        if !no_json {
-            write_report(report_from_rows(
-                "ratrace",
-                threads,
-                rows.iter().map(|r| {
-                    r.steps
-                        .bench_row()
-                        .with("regs_space_efficient", r.regs_space_efficient as f64)
-                        .with("regs_original_declared", r.regs_original_declared as f64)
-                        .with("regs_original_touched", r.regs_original_touched as f64)
-                }),
-            ));
-        }
-    }
-    if run("e5") {
-        let rows = experiments::e5_combiner(scale, &runner);
-        if !no_json {
-            write_report(report_from_rows(
-                "combiner",
-                threads,
-                rows.iter().map(|r| r.bench_row()),
-            ));
-        }
-    }
-    if run("e6") {
-        let rows = experiments::e6_space_lower_bound(scale, &runner);
-        if !no_json {
-            // The recurrence is exact, not sampled: one deterministic
-            // observation per n, so the distribution fields are the
-            // honest single-value summary (quantiles = the value,
-            // stddev/ci = 0). Wall-clock is not measured per row: null.
-            write_report(report_from_rows(
-                "space_recurrence",
-                threads,
-                rows.iter().map(|&(n, rec, closed)| {
-                    let single = rtas_bench::stats::StatsAccumulator::from_value(rec as f64);
-                    BenchRow::from_summary(n, &single.summary(), f64::NAN)
-                        .with("closed_form", closed as f64)
-                }),
-            ));
-        }
-    }
-    if run("e7") {
-        let rows = experiments::e7_two_process_tail(scale, &runner);
-        if !no_json {
-            // Only the mean and max tail probabilities exist here (the
-            // schedule search reports per-schedule tails, not a trial
-            // distribution); the unavailable fields serialize as null
-            // rather than fabricated zeros.
-            write_report(report_from_rows(
-                "two_process_tail",
-                threads,
-                rows.iter().map(|r| {
-                    BenchRow::from_mean_worst(
-                        r.t as u64,
-                        r.schedules as u64,
-                        r.mean_tail,
-                        r.max_tail,
-                    )
-                    .with("bound", r.bound)
-                }),
-            ));
-        }
-    }
-    if run("e8") {
-        let rows = experiments::e8_sifting_rounds(scale, &runner);
-        if !no_json {
-            write_report(report_from_rows(
-                "sifting_rounds",
-                threads,
-                rows.iter().map(|r| r.bench_row()),
-            ));
-        }
-    }
-    if run("e9") {
-        let rows = experiments::e9_adaptive_attack(scale, &runner);
-        if !no_json {
-            write_report(report_from_rows(
-                "adaptive_attack",
-                threads,
-                rows.iter().flat_map(|r| r.bench_rows()),
-            ));
-        }
-    }
-    if run("e10") {
-        let rows = experiments::e10_ladder_depth(scale, &runner);
-        if !no_json {
-            write_report(report_from_rows(
-                "ladder_depth",
-                threads,
-                rows.iter().map(|r| r.bench_row()),
-            ));
-        }
-    }
-    if run("e11") {
-        let rows = experiments::e11_scenario_grid(scale, &runner);
-        if !no_json {
-            write_report(scenario_grid_report("scenario_grid", &rows, threads));
-        }
-    }
-    if run("e12") {
-        let rows = experiments::e12_epoch_reuse(scale, &runner);
-        if !no_json {
-            write_report(report_from_rows(
-                "epoch_reuse",
-                threads,
-                rows.iter().map(|r| r.bench_row()),
-            ));
+    for id in experiments::IDS {
+        if run(id) {
+            let report = experiments::bench_report(id, scale, &runner)
+                .expect("every listed experiment has a report");
+            if !no_json {
+                write_report(report);
+            }
         }
     }
 }

@@ -30,7 +30,7 @@ use rtas_lowerbound::hitting_time::{geometric_ge_rate, iterated_rate_depth};
 use rtas_lowerbound::recurrence::{closed_form_f, f_sequence};
 use rtas_lowerbound::yao::schedule_tail_probabilities;
 
-use crate::report::BenchRow;
+use crate::report::{BenchReport, BenchRow};
 use crate::runner::{Sweep, SweepPoint, Trial, TrialRunner};
 use crate::scenarios;
 use crate::stats::{StatsAccumulator, Summary};
@@ -1046,6 +1046,149 @@ pub fn run_all(scale: Scale, runner: &TrialRunner) {
     e10_ladder_depth(scale, runner);
     e11_scenario_grid(scale, runner);
     e12_epoch_reuse(scale, runner);
+}
+
+/// Every experiment, in table order.
+pub const IDS: [&str; 12] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
+];
+
+/// A report named `name` holding `rows`.
+pub fn report_from_rows(
+    name: &'static str,
+    threads: usize,
+    rows: impl IntoIterator<Item = BenchRow>,
+) -> BenchReport {
+    let mut report = BenchReport::new(name, threads);
+    for row in rows {
+        report.push(row);
+    }
+    report
+}
+
+/// Run experiment `id` (one of [`IDS`]), printing its table, and return
+/// its `BENCH_<name>.json` report; `None` for an unknown id.
+pub fn bench_report(id: &str, scale: Scale, runner: &TrialRunner) -> Option<BenchReport> {
+    let threads = runner.threads();
+    let report = match id {
+        "e1" => {
+            let rows = e1_group_election_performance(scale, runner);
+            report_from_rows(
+                "group_election",
+                threads,
+                rows.iter().map(|r| r.bench_row()),
+            )
+        }
+        "e2" => {
+            let rows = e2_logstar_steps(scale, runner);
+            report_from_rows(
+                "step_complexity",
+                threads,
+                rows.iter().map(|r| {
+                    r.steps
+                        .bench_row()
+                        .with("log_star", r.log_star as f64)
+                        .with("registers", r.registers as f64)
+                }),
+            )
+        }
+        "e3" => {
+            let rows = e3_loglog_steps(scale, runner);
+            report_from_rows(
+                "loglog_steps",
+                threads,
+                rows.iter().map(|r| {
+                    r.steps
+                        .bench_row()
+                        .with("baseline_mean", r.baseline.mean_max_steps)
+                }),
+            )
+        }
+        "e4" => {
+            let rows = e4_ratrace(scale, runner);
+            report_from_rows(
+                "ratrace",
+                threads,
+                rows.iter().map(|r| {
+                    r.steps
+                        .bench_row()
+                        .with("regs_space_efficient", r.regs_space_efficient as f64)
+                        .with("regs_original_declared", r.regs_original_declared as f64)
+                        .with("regs_original_touched", r.regs_original_touched as f64)
+                }),
+            )
+        }
+        "e5" => {
+            let rows = e5_combiner(scale, runner);
+            report_from_rows("combiner", threads, rows.iter().map(|r| r.bench_row()))
+        }
+        "e6" => {
+            // The recurrence is exact, not sampled: one deterministic
+            // observation per n, so the distribution fields are the
+            // honest single-value summary (quantiles = the value,
+            // stddev/ci = 0). Wall-clock is not measured per row: null.
+            let rows = e6_space_lower_bound(scale, runner);
+            report_from_rows(
+                "space_recurrence",
+                threads,
+                rows.iter().map(|&(n, rec, closed)| {
+                    let single = StatsAccumulator::from_value(rec as f64);
+                    BenchRow::from_summary(n, &single.summary(), f64::NAN)
+                        .with("closed_form", closed as f64)
+                }),
+            )
+        }
+        "e7" => {
+            // Only the mean and max tail probabilities exist here (the
+            // schedule search reports per-schedule tails, not a trial
+            // distribution); the unavailable fields serialize as null
+            // rather than fabricated zeros.
+            let rows = e7_two_process_tail(scale, runner);
+            report_from_rows(
+                "two_process_tail",
+                threads,
+                rows.iter().map(|r| {
+                    BenchRow::from_mean_worst(
+                        r.t as u64,
+                        r.schedules as u64,
+                        r.mean_tail,
+                        r.max_tail,
+                    )
+                    .with("bound", r.bound)
+                }),
+            )
+        }
+        "e8" => {
+            let rows = e8_sifting_rounds(scale, runner);
+            report_from_rows(
+                "sifting_rounds",
+                threads,
+                rows.iter().map(|r| r.bench_row()),
+            )
+        }
+        "e9" => {
+            let rows = e9_adaptive_attack(scale, runner);
+            report_from_rows(
+                "adaptive_attack",
+                threads,
+                rows.iter().flat_map(|r| r.bench_rows()),
+            )
+        }
+        "e10" => {
+            let rows = e10_ladder_depth(scale, runner);
+            report_from_rows("ladder_depth", threads, rows.iter().map(|r| r.bench_row()))
+        }
+        "e11" => {
+            let rows = e11_scenario_grid(scale, runner);
+            report_from_rows("scenario_grid", threads, rows.iter().map(|r| r.bench_row()))
+        }
+        "e12" => {
+            let rows = e12_epoch_reuse(scale, runner);
+            report_from_rows("epoch_reuse", threads, rows.iter().map(|r| r.bench_row()))
+        }
+        _ => return None,
+    };
+    Some(report)
 }
 
 #[cfg(test)]

@@ -31,8 +31,8 @@
 //! |-------|-------|----------|
 //! | simulator | [`rtas_sim`] (re-exported as [`sim`]) | registers, adversaries, executor, exhaustive explorer |
 //! | primitives | [`rtas_primitives`] (re-exported as [`primitives`]) | splitters, 2/3-process elections, TAS-from-LE |
-//! | algorithms | [`rtas_algorithms`] (re-exported as [`algorithms`]) | Fig. 1 group election, O(log* k) LE, O(log log k) LE, RatRace ×2, Section 4 combiner |
-//! | native | [`native`] | the same protocols on real `AtomicU64`s |
+//! | algorithms | [`rtas_algorithms`] (re-exported as [`algorithms`]) | Fig. 1 group election, O(log* k) LE, O(log log k) LE, RatRace ×2, Section 4 combiner, the frame core |
+//! | native | [`native`] | the same frames on real `AtomicU64`s |
 //!
 //! ## One-shot objects
 //!
@@ -53,14 +53,20 @@ pub use once::RegisterOnce;
 pub use renaming::Renaming;
 
 pub use rtas_algorithms as algorithms;
-pub use rtas_primitives as primitives;
+/// The paper's building blocks ([`rtas_primitives`]), together with the
+/// leader-election interface and the TAS-from-LE construction they
+/// compose into (both live in [`rtas_algorithms`], beside the frames they
+/// run).
+pub mod primitives {
+    pub use rtas_algorithms::{LeaderElect, TasFromLe};
+    pub use rtas_primitives::*;
+}
 pub use rtas_sim as sim;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use rtas_algorithms::{Combined, LogLogLe, LogStarLe, SpaceEfficientRatRace};
-use rtas_primitives::LeaderElect;
+use rtas_algorithms::{Combined, Frame, LeaderElect, LogLogLe, LogStarLe, SpaceEfficientRatRace};
 use rtas_sim::memory::Memory;
 use rtas_sim::protocol::ret;
 
@@ -108,46 +114,117 @@ impl Backend {
     }
 }
 
-struct Inner {
-    le: Arc<dyn LeaderElect>,
-    memory: NativeMemory,
+/// The shape of one leader-election object for a `(backend, capacity)`
+/// pair: the root frame every `elect()` starts from (it carries the
+/// protocol's descriptors) and the register count.
+///
+/// Computing a layout lays the algorithm out on a scratch simulator
+/// [`Memory`]; the result is under a kilobyte of `Copy` data.
+/// [`Layout::shared`] computes each `(backend, capacity)` layout once
+/// per process, and every object of that shape — every key of a keyed
+/// service, every shard of an arena, every object built with
+/// `with_backend` — shares it and owns only an [`ObjectState`]: a zeroed
+/// register block and its counters.
+#[derive(Debug, Clone, Copy)]
+pub struct Layout {
+    /// The root frame of a fresh `elect()`.
+    start: Frame,
     registers: u64,
     capacity: usize,
-    issued: AtomicUsize,
-    /// Reuse epoch, bumped by [`Inner::reset`]; mixed into the per-slot
-    /// seeds so recycled objects draw fresh coin streams each epoch.
-    epoch: AtomicU64,
     backend: Backend,
 }
 
-fn build(backend: Backend, capacity: usize) -> Inner {
-    assert!(capacity >= 1, "capacity must be at least 1");
-    let mut mem = Memory::new();
-    let le: Arc<dyn LeaderElect> = match backend {
-        Backend::LogStar => Arc::new(LogStarLe::new(&mut mem, capacity)),
-        Backend::LogLog => Arc::new(LogLogLe::new(&mut mem, capacity)),
-        Backend::RatRace => Arc::new(SpaceEfficientRatRace::new(&mut mem, capacity)),
-        Backend::Combined => {
-            let weak = Arc::new(LogStarLe::new(&mut mem, capacity));
-            Arc::new(Combined::new(&mut mem, weak, capacity))
+impl Layout {
+    /// The layout of `backend` for up to `capacity` participants,
+    /// computed on first use and shared by the whole process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    pub fn shared(backend: Backend, capacity: usize) -> &'static Layout {
+        // One entry per (backend, capacity) a process uses: a handful.
+        static LAYOUTS: Mutex<Vec<&'static Layout>> = Mutex::new(Vec::new());
+        let mut layouts = LAYOUTS.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(&layout) = layouts
+            .iter()
+            .find(|l| l.backend == backend && l.capacity == capacity)
+        {
+            return layout;
         }
-    };
-    let registers = mem.declared_registers();
-    let memory = NativeMemory::from_layout(&mem);
-    Inner {
-        le,
-        memory,
-        registers,
-        capacity,
-        issued: AtomicUsize::new(0),
-        epoch: AtomicU64::new(0),
-        backend,
+        let layout: &'static Layout = Box::leak(Box::new(Layout::new(backend, capacity)));
+        layouts.push(layout);
+        layout
     }
-}
 
-impl Inner {
-    fn elect_with(&self, runner: &mut NativeRunner) -> bool {
-        let slot = self.issued.fetch_add(1, Ordering::Relaxed);
+    /// Lay out `backend` for up to `capacity` participants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    fn new(backend: Backend, capacity: usize) -> Self {
+        assert!(capacity >= 1, "capacity must be at least 1");
+        let mut mem = Memory::new();
+        let root = match backend {
+            Backend::LogStar => LogStarLe::new(&mut mem, capacity).root(),
+            Backend::LogLog => LogLogLe::new(&mut mem, capacity).root(),
+            Backend::RatRace => SpaceEfficientRatRace::new(&mut mem, capacity).root(),
+            Backend::Combined => {
+                let weak = Arc::new(LogStarLe::new(&mut mem, capacity));
+                Combined::new(&mut mem, weak, capacity).root()
+            }
+        };
+        assert_eq!(
+            mem.declared_registers(),
+            mem.dense_registers(),
+            "native objects need dense registers"
+        );
+        Layout {
+            start: root.frame(),
+            registers: mem.declared_registers(),
+            capacity,
+            backend,
+        }
+    }
+
+    /// The algorithm.
+    pub fn backend(&self) -> Backend {
+        self.backend
+    }
+
+    /// Participation slots per epoch.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Atomic registers of the leader election.
+    pub fn registers(&self) -> u64 {
+        self.registers
+    }
+
+    /// Atomic registers of a test-and-set: the leader election's plus
+    /// the bit the paper's TAS-from-LE construction adds.
+    pub fn tas_registers(&self) -> u64 {
+        self.registers + 1
+    }
+
+    /// A fresh object of this layout: zeroed registers, no participant.
+    pub fn state(&self) -> ObjectState {
+        ObjectState {
+            memory: NativeMemory::zeroed(self.registers as usize),
+            issued: AtomicUsize::new(0),
+            epoch: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+        }
+    }
+
+    /// One leader-election participation in `state`'s current epoch;
+    /// `true` iff this caller is the unique winner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `capacity` participants enter one epoch.
+    pub fn elect(&self, state: &ObjectState, runner: &mut NativeRunner) -> bool {
+        let slot = state.issued.fetch_add(1, Ordering::Relaxed);
         assert!(
             slot < self.capacity,
             "more than {} participants entered a one-shot object",
@@ -159,18 +236,64 @@ impl Inner {
         let seed = 0x7a5_u64
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(slot as u64)
-            .wrapping_add(self.epoch.load(Ordering::Relaxed).wrapping_mul(0x9e37_79b9));
-        runner.run(self.le.elect(), &self.memory, slot, seed) == ret::WIN
+            .wrapping_add(
+                state
+                    .epoch
+                    .load(Ordering::Relaxed)
+                    .wrapping_mul(0x9e37_79b9),
+            );
+        runner.run(&self.start, &state.memory, slot, seed) == ret::WIN
     }
 
-    fn elect(&self) -> bool {
-        self.elect_with(&mut NativeRunner::new())
+    /// One test-and-set participation in `state`'s current epoch,
+    /// returning the bit's previous value: `false` for the unique winner.
+    /// The bit is the one register the paper's TAS-from-LE construction
+    /// adds (Preliminaries): read it first, elect, and set it on a loss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `capacity` participants elect in one epoch.
+    pub fn test_and_set(&self, state: &ObjectState, runner: &mut NativeRunner) -> bool {
+        if state.done.load(Ordering::SeqCst) == 1 {
+            return true;
+        }
+        if self.elect(state, runner) {
+            return false;
+        }
+        state.done.store(1, Ordering::SeqCst);
+        true
     }
+}
 
-    fn reset(&self) {
+/// One recyclable object's mutable state — its registers and
+/// participation counters — without its descriptor: operate on it through
+/// the [`Layout`] that made it.
+#[derive(Debug)]
+pub struct ObjectState {
+    memory: NativeMemory,
+    issued: AtomicUsize,
+    /// Reuse epoch, bumped by [`ObjectState::reset`]; mixed into the
+    /// per-slot seeds so recycled objects draw fresh coin streams each
+    /// epoch.
+    epoch: AtomicU64,
+    /// The test-and-set bit.
+    done: AtomicU64,
+}
+
+impl ObjectState {
+    /// Recycle for the next epoch: clear the test-and-set bit, return
+    /// every register to 0 (O(1), no allocation; see
+    /// [`NativeMemory::reset`]) and re-open every participation slot.
+    /// Same quiescence contract as [`NativeMemory::reset`].
+    pub fn reset(&self) {
+        // The quiescence contract orders this reset before the next
+        // epoch's first operation (the caller publishes it, e.g. with a
+        // release/acquire epoch counter), so relaxed accesses suffice,
+        // as in `NativeMemory::reset`.
+        self.done.store(0, Ordering::Relaxed);
         self.memory.reset();
-        self.issued.store(0, Ordering::SeqCst);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.issued.store(0, Ordering::Relaxed);
+        self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -180,15 +303,16 @@ impl Inner {
 /// each at most once; at most one call returns `true`, and if every
 /// participating call runs to completion, exactly one does.
 pub struct LeaderElection {
-    inner: Inner,
+    layout: &'static Layout,
+    state: ObjectState,
 }
 
 impl std::fmt::Debug for LeaderElection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LeaderElection")
-            .field("backend", &self.inner.backend)
-            .field("capacity", &self.inner.capacity)
-            .field("registers", &self.inner.registers)
+            .field("backend", &self.layout.backend)
+            .field("capacity", &self.layout.capacity)
+            .field("registers", &self.layout.registers)
             .finish()
     }
 }
@@ -210,8 +334,10 @@ impl LeaderElection {
     ///
     /// Panics if `capacity == 0`.
     pub fn with_backend(backend: Backend, capacity: usize) -> Self {
+        let layout = Layout::shared(backend, capacity);
         LeaderElection {
-            inner: build(backend, capacity),
+            state: layout.state(),
+            layout,
         }
     }
 
@@ -222,14 +348,14 @@ impl LeaderElection {
     /// Panics if called more than `capacity` times on this object
     /// (between resets).
     pub fn elect(&self) -> bool {
-        self.inner.elect()
+        self.elect_with(&mut NativeRunner::new())
     }
 
     /// [`LeaderElection::elect`] reusing a caller-owned
     /// [`NativeRunner`], so a worker thread performing many operations
-    /// does not rebuild the protocol-stack buffer each time.
+    /// allocates its frame stack once.
     pub fn elect_with(&self, runner: &mut NativeRunner) -> bool {
-        self.inner.elect_with(runner)
+        self.layout.elect(&self.state, runner)
     }
 
     /// Recycle the object: return every register to 0 (O(1), no
@@ -242,22 +368,22 @@ impl LeaderElection {
     /// the object behaves exactly like a freshly constructed one, with
     /// fresh per-epoch coin streams.
     pub fn reset(&self) {
-        self.inner.reset()
+        self.state.reset()
     }
 
     /// The configured backend.
     pub fn backend(&self) -> Backend {
-        self.inner.backend
+        self.layout.backend
     }
 
     /// Maximum number of participants.
     pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        self.layout.capacity
     }
 
     /// Number of atomic registers the object occupies.
     pub fn registers(&self) -> u64 {
-        self.inner.registers
+        self.layout.registers
     }
 }
 
@@ -268,15 +394,15 @@ impl LeaderElection {
 /// `false`, everyone else `true`. Built from [`LeaderElection`] plus one
 /// register, exactly as in the paper (Preliminaries).
 pub struct TestAndSet {
-    le: LeaderElection,
-    done: std::sync::atomic::AtomicU64,
+    layout: &'static Layout,
+    state: ObjectState,
 }
 
 impl std::fmt::Debug for TestAndSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TestAndSet")
-            .field("backend", &self.le.backend())
-            .field("capacity", &self.le.capacity())
+            .field("backend", &self.layout.backend)
+            .field("capacity", &self.layout.capacity)
             .finish()
     }
 }
@@ -298,9 +424,10 @@ impl TestAndSet {
     ///
     /// Panics if `capacity == 0`.
     pub fn with_backend(backend: Backend, capacity: usize) -> Self {
+        let layout = Layout::shared(backend, capacity);
         TestAndSet {
-            le: LeaderElection::with_backend(backend, capacity),
-            done: std::sync::atomic::AtomicU64::new(0),
+            state: layout.state(),
+            layout,
         }
     }
 
@@ -321,14 +448,7 @@ impl TestAndSet {
     /// [`TestAndSet::test_and_set`] reusing a caller-owned
     /// [`NativeRunner`] (see [`LeaderElection::elect_with`]).
     pub fn test_and_set_with(&self, runner: &mut NativeRunner) -> bool {
-        if self.done.load(Ordering::SeqCst) == 1 {
-            return true;
-        }
-        if self.le.elect_with(runner) {
-            return false;
-        }
-        self.done.store(1, Ordering::SeqCst);
-        true
+        self.layout.test_and_set(&self.state, runner)
     }
 
     /// Recycle the object: clear the TAS bit, return every register to
@@ -336,24 +456,23 @@ impl TestAndSet {
     /// participation slots. Same quiescence contract as
     /// [`LeaderElection::reset`].
     pub fn reset(&self) {
-        self.done.store(0, Ordering::SeqCst);
-        self.le.reset();
+        self.state.reset()
     }
 
     /// The configured backend.
     pub fn backend(&self) -> Backend {
-        self.le.backend()
+        self.layout.backend
     }
 
     /// Maximum number of participants.
     pub fn capacity(&self) -> usize {
-        self.le.capacity()
+        self.layout.capacity
     }
 
     /// Number of atomic registers the object occupies (including the
     /// extra TAS register).
     pub fn registers(&self) -> u64 {
-        self.le.registers() + 1
+        self.layout.tas_registers()
     }
 }
 

@@ -1,11 +1,11 @@
-//! Executing protocol state machines on real atomic registers.
+//! Executing protocol frames on real atomic registers.
 
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 
-use rtas_sim::executor::{SubPoll, SubRuntime};
+use rtas_algorithms::{Frame, FrameStack};
 use rtas_sim::memory::Memory;
 use rtas_sim::op::MemOp;
-use rtas_sim::protocol::{Ctx, Notes, Protocol};
+use rtas_sim::protocol::{Ctx, Notes, Poll, Protocol, Resume};
 use rtas_sim::rng::SplitMix64;
 use rtas_sim::word::{ProcessId, RegId, Word};
 
@@ -52,10 +52,14 @@ impl NativeMemory {
             layout.dense_registers(),
             "native execution does not support lazy register regions"
         );
-        let n = layout.dense_registers();
-        let regs = (0..n).map(|_| AtomicU64::new(0)).collect();
+        NativeMemory::zeroed(layout.dense_registers() as usize)
+    }
+
+    /// `len` registers, all 0: the registers of a layout computed once
+    /// elsewhere (see `rtas::Layout`).
+    pub fn zeroed(len: usize) -> Self {
         NativeMemory {
-            regs,
+            regs: (0..len).map(|_| AtomicU64::new(0)).collect(),
             tag: AtomicU16::new(0),
         }
     }
@@ -138,92 +142,135 @@ impl NativeMemory {
     }
 }
 
-/// A reusable per-thread protocol executor.
-///
-/// [`run_protocol`] builds a fresh [`SubRuntime`] (one heap-allocated
-/// protocol stack) per call; a worker thread hammering an arena of
-/// recycled objects instead keeps one `NativeRunner` alive and reuses
-/// the runtime's stack buffer across operations via
-/// [`SubRuntime::reset`], so the steady-state op path allocates only
-/// the protocol state machines themselves.
-#[derive(Debug, Default)]
-pub struct NativeRunner {
-    runtime: Option<SubRuntime>,
-}
-
-impl NativeRunner {
-    /// A runner with no warm runtime yet (the first [`NativeRunner::run`]
-    /// builds it).
-    pub fn new() -> Self {
-        NativeRunner { runtime: None }
-    }
-
-    /// Run `protocol` to completion on the calling thread, reusing this
-    /// runner's runtime buffer.
-    ///
-    /// `participant` is the logical process id (used for splitter
-    /// identity stamps); `seed` seeds the thread's private coin flips.
-    /// Returns the protocol's result word.
-    pub fn run(
-        &mut self,
-        protocol: Box<dyn Protocol>,
-        memory: &NativeMemory,
-        participant: usize,
-        seed: u64,
-    ) -> Word {
-        let runtime = match &mut self.runtime {
-            Some(rt) => {
-                rt.reset(protocol);
-                rt
-            }
-            slot => slot.insert(SubRuntime::new(protocol)),
-        };
-        let mut rng = SplitMix64::split(seed, participant as u64 ^ 0x5eed_f00d);
-        let mut notes = Notes::default();
-        loop {
-            let poll = {
-                let mut ctx = Ctx {
-                    pid: ProcessId(participant),
-                    rng: &mut rng,
-                    notes: &mut notes,
-                };
-                runtime.advance(&mut ctx)
-            };
-            match poll {
-                SubPoll::Finished(v) => return v,
-                SubPoll::NeedsOp(op) => {
-                    let input = match op {
-                        MemOp::Read(r) => rtas_sim::protocol::Resume::Read(memory.read(r)),
-                        MemOp::Write(r, v) => {
-                            memory.write(r, v);
-                            rtas_sim::protocol::Resume::Wrote
-                        }
-                    };
-                    runtime.feed(input);
-                }
-            }
+/// Perform one operation on `memory`, returning the event that answers
+/// it.
+#[inline]
+fn perform(memory: &NativeMemory, op: MemOp) -> Resume {
+    match op {
+        MemOp::Read(r) => Resume::Read(memory.read(r)),
+        MemOp::Write(r, v) => {
+            memory.write(r, v);
+            Resume::Wrote
         }
     }
 }
 
-/// Run a protocol to completion on the calling thread.
+/// The coin stream of `participant` in a run seeded with `seed`.
+fn coins(seed: u64, participant: usize) -> SplitMix64 {
+    SplitMix64::split(seed, participant as u64 ^ 0x5eed_f00d)
+}
+
+/// A reusable per-thread protocol executor.
 ///
-/// One-shot convenience over [`NativeRunner::run`] — identical
-/// semantics, fresh runtime per call.
+/// Runs a leader election's root frame and its children on one
+/// [`FrameStack`], performing each operation as a sequentially
+/// consistent load or store: no allocation, no `Arc` traffic and no
+/// dynamic dispatch per step. The stack is allocated with the runner,
+/// sized once for the deepest chain any protocol builds
+/// ([`rtas_algorithms::frame::MAX_DEPTH`]), and reused by every run, so
+/// a worker thread that keeps one runner allocates nothing per
+/// operation.
+#[derive(Debug, Default)]
+pub struct NativeRunner {
+    stack: Box<FrameStack>,
+    steps: u64,
+}
+
+impl NativeRunner {
+    /// A runner with its frame stack (one allocation).
+    pub fn new() -> Self {
+        NativeRunner::default()
+    }
+
+    /// Run one `elect()` to completion on the calling thread, starting
+    /// from `start`: the root frame of a fresh `elect()`
+    /// ([`rtas_algorithms::LeRoot::frame`]).
+    ///
+    /// `participant` is the logical process id (used for splitter
+    /// identity stamps); `seed` seeds the participant's private coin
+    /// flips. Returns the protocol's result word.
+    pub fn run(
+        &mut self,
+        start: &Frame,
+        memory: &NativeMemory,
+        participant: usize,
+        seed: u64,
+    ) -> Word {
+        self.run_with_coins(start, memory, participant, &mut coins(seed, participant))
+    }
+
+    /// [`NativeRunner::run`] drawing coins from `rng`.
+    pub fn run_with_coins(
+        &mut self,
+        start: &Frame,
+        memory: &NativeMemory,
+        participant: usize,
+        rng: &mut SplitMix64,
+    ) -> Word {
+        let stack = &mut self.stack;
+        stack.restart(*start);
+        let mut notes = Notes::default();
+        let mut ctx = Ctx {
+            pid: ProcessId(participant),
+            rng,
+            notes: &mut notes,
+        };
+        let mut input = Resume::Start;
+        let mut steps = 0;
+        loop {
+            match stack.advance(input, &mut ctx) {
+                Poll::Op(op) => {
+                    input = perform(memory, op);
+                    steps += 1;
+                }
+                Poll::Done(v) => {
+                    self.steps = steps;
+                    return v;
+                }
+            }
+        }
+    }
+
+    /// Register reads and writes of the last completed run: the
+    /// paper's step count.
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+}
+
+/// Run any simulator [`Protocol`] to completion on the calling thread,
+/// with the coin stream [`NativeRunner::run`] would draw.
+///
+/// For tools and tests that hold a boxed protocol (an object's
+/// `elect()`, a bare group election); the objects of this crate run
+/// their frames through a [`NativeRunner`] instead.
 pub fn run_protocol(
-    protocol: Box<dyn Protocol>,
+    mut protocol: Box<dyn Protocol>,
     memory: &NativeMemory,
     participant: usize,
     seed: u64,
 ) -> Word {
-    NativeRunner::new().run(protocol, memory, participant, seed)
+    let mut rng = coins(seed, participant);
+    let mut notes = Notes::default();
+    let mut ctx = Ctx {
+        pid: ProcessId(participant),
+        rng: &mut rng,
+        notes: &mut notes,
+    };
+    let mut input = Resume::Start;
+    loop {
+        match protocol.resume(input, &mut ctx) {
+            Poll::Op(op) => input = perform(memory, op),
+            Poll::Done(v) => return v,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtas_sim::op::MemOp;
-    use rtas_sim::protocol::{Poll, Resume};
+    use rtas_algorithms::{LeaderElect, LogStarLe};
+    use rtas_sim::protocol::ret;
 
     struct WriteThenRead {
         reg: RegId,
@@ -283,15 +330,18 @@ mod tests {
     #[test]
     fn runner_reuse_matches_fresh_runs() {
         let mut layout = Memory::new();
-        let reg = layout.alloc(1, "t").get(0);
+        let le = LogStarLe::new(&mut layout, 4);
         let shared = NativeMemory::from_layout(&layout);
         let mut runner = NativeRunner::new();
         for epoch in 0..100 {
-            let out = runner.run(Box::new(WriteThenRead { reg, state: 0 }), &shared, 0, epoch);
-            assert_eq!(out, 42, "epoch {epoch}");
-            assert_eq!(shared.read(reg), 41);
+            let reused = runner.run(&le.root().frame(), &shared, 0, epoch);
+            let reused_steps = runner.steps();
             shared.reset();
-            assert_eq!(shared.read(reg), 0);
+            let fresh = run_protocol(le.elect(), &shared, 0, epoch);
+            assert_eq!(reused, ret::WIN, "epoch {epoch}");
+            assert_eq!(fresh, ret::WIN, "epoch {epoch}");
+            assert!(reused_steps > 0);
+            shared.reset();
         }
     }
 }

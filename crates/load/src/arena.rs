@@ -5,14 +5,16 @@
 //! so the arena recycles a fixed pool instead of constructing a fresh
 //! object per resolution:
 //!
-//! * **Shards** — `shards` independent [`TestAndSet`] instances, each in
-//!   its own register block and each fronted by a cache-line-padded
-//!   header, so resolutions on different shards never false-share.
+//! * **Shards** — `shards` independent test-and-set objects, each in its
+//!   own register block and each fronted by a cache-line-padded header,
+//!   so resolutions on different shards never false-share. Every shard
+//!   runs the arena's one [`Layout`], computed once; a shard owns only
+//!   its registers and counters ([`ObjectState`]).
 //! * **Epochs** — each shard advances through *epochs*. An epoch is one
 //!   full resolution: exactly `group` participants call
 //!   [`TasArena::resolve`] for that epoch, exactly one of them wins, and
 //!   the **last finisher** recycles the object with the allocation-free
-//!   [`TestAndSet::reset`] and opens the next epoch by bumping the
+//!   [`ObjectState::reset`] and opens the next epoch by bumping the
 //!   shard's epoch counter with release ordering. Participants of epoch
 //!   `e + 1` spin on the counter with acquire ordering before touching
 //!   the object, so the reset happens-before every next-epoch operation
@@ -23,20 +25,19 @@
 //! operation a `(shard, epoch)` pair such that every epoch receives
 //! exactly `group` operations (see `crate::driver`), so no entry tickets
 //! or queues are needed — the op path is a spin-wait, the protocol run
-//! itself, and two atomic RMWs. The steady-state path allocates nothing
-//! beyond the protocol state machines (and those run through a reused
-//! [`NativeRunner`] stack buffer).
+//! itself, and two atomic RMWs. The steady-state path allocates nothing:
+//! the protocol's frames run on a reused [`NativeRunner`] stack.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use rtas::native::NativeRunner;
 use rtas::sync::{Backoff, CachePadded};
-use rtas::{Backend, TestAndSet};
+use rtas::{Backend, Layout, ObjectState};
 
-/// One shard: a recyclable TAS plus its epoch-recycling header.
+/// One shard: a recyclable TAS's state plus its epoch-recycling header.
 #[derive(Debug)]
 struct Shard {
-    tas: TestAndSet,
+    tas: ObjectState,
     /// The currently open epoch. Bumped with `Release` by the finisher
     /// that performed the reset; read with `Acquire` by entrants.
     epoch: AtomicU64,
@@ -47,14 +48,14 @@ struct Shard {
     wins: AtomicU64,
 }
 
-/// A sharded pool of recyclable [`TestAndSet`] objects.
+/// A sharded pool of recyclable test-and-set objects.
 ///
 /// See the [module docs](self) for the epoch protocol.
 #[derive(Debug)]
 pub struct TasArena {
     shards: Vec<CachePadded<Shard>>,
-    group: usize,
-    backend: Backend,
+    /// The layout every shard's object shares.
+    layout: &'static Layout,
 }
 
 impl TasArena {
@@ -67,21 +68,18 @@ impl TasArena {
     pub fn new(backend: Backend, shards: usize, group: usize) -> Self {
         assert!(shards >= 1, "arena needs at least one shard");
         assert!(group >= 1, "arena needs at least one participant per epoch");
+        let layout = Layout::shared(backend, group);
         let shards = (0..shards)
             .map(|_| {
                 CachePadded(Shard {
-                    tas: TestAndSet::with_backend(backend, group),
+                    tas: layout.state(),
                     epoch: AtomicU64::new(0),
                     done: AtomicUsize::new(0),
                     wins: AtomicU64::new(0),
                 })
             })
             .collect();
-        TasArena {
-            shards,
-            group,
-            backend,
-        }
+        TasArena { shards, layout }
     }
 
     /// Number of shards.
@@ -91,12 +89,12 @@ impl TasArena {
 
     /// Participants per epoch (the capacity of each pooled object).
     pub fn group(&self) -> usize {
-        self.group
+        self.layout.capacity()
     }
 
     /// The backend every pooled object runs.
     pub fn backend(&self) -> Backend {
-        self.backend
+        self.layout.backend()
     }
 
     /// The currently open epoch of `shard` — the epoch index a driver
@@ -120,7 +118,7 @@ impl TasArena {
 
     /// Total registers held by the pool (all shards).
     pub fn registers(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.tas.registers()).sum()
+        self.shards.len() as u64 * self.layout.tas_registers()
     }
 
     /// Perform one operation of epoch `epoch` on `shard`: wait for the
@@ -158,11 +156,11 @@ impl TasArena {
             );
             backoff.snooze();
         }
-        let won = !shard.tas.test_and_set_with(runner);
+        let won = !self.layout.test_and_set(&shard.tas, runner);
         if won {
             shard.wins.fetch_add(1, Ordering::AcqRel);
         }
-        if shard.done.fetch_add(1, Ordering::AcqRel) + 1 == self.group {
+        if shard.done.fetch_add(1, Ordering::AcqRel) + 1 == self.group() {
             // Every call of this epoch has returned: the object is
             // quiescent. Recycle it and publish the reset to the next
             // epoch's participants through the epoch counter.

@@ -16,13 +16,15 @@
 //!   substitution note). Safety is verified exhaustively in the tests.
 //! * [`three_process`] — the 3-process leader election used at RatRace tree
 //!   nodes, built from two 2-process elections.
-//! * [`tas_from_le`] — the standard construction of a linearizable one-shot
-//!   test-and-set from a leader-election object plus one extra register.
 //!
-//! All objects follow the same pattern: a small, copyable *descriptor*
-//! holds the register ids (allocated from a [`rtas_sim::memory::Memory`]),
-//! and a method returns a boxed [`rtas_sim::protocol::Protocol`] that one
-//! process runs to perform one operation.
+//! All objects follow the same pattern: a small `Copy` *descriptor* holds
+//! the base register id (allocated from a [`rtas_sim::memory::Memory`], or
+//! computed at a fixed stride inside a composite's block), and `frame()`
+//! returns the `Copy` state machine one process runs to perform one
+//! operation. Every frame here is a leaf: it implements
+//! [`rtas_sim::protocol::Protocol`] directly and never calls another
+//! protocol (the 3-process election plays its 2-process matches inline),
+//! so `rtas_algorithms::frame` embeds these frames unchanged.
 //!
 //! ```
 //! use rtas_primitives::{RoleLeaderElect, TwoProcessLe};
@@ -39,13 +41,11 @@
 pub mod object;
 pub mod rsplitter;
 pub mod splitter;
-pub mod tas_from_le;
 pub mod three_process;
 pub mod two_process;
 
-pub use object::{LeaderElect, RoleLeaderElect, SplitterObject};
-pub use rsplitter::RSplitter;
-pub use splitter::Splitter;
-pub use tas_from_le::TasFromLe;
-pub use three_process::ThreeProcessLe;
-pub use two_process::TwoProcessLe;
+pub use object::{RoleLeaderElect, SplitterObject};
+pub use rsplitter::{RSplitFrame, RSplitter};
+pub use splitter::{SplitFrame, Splitter};
+pub use three_process::{ThreeProcessFrame, ThreeProcessLe};
+pub use two_process::{TwoProcessFrame, TwoProcessLe};

@@ -2,23 +2,12 @@
 
 use rtas_sim::protocol::Protocol;
 
-/// A leader-election object any number of processes may enter.
-///
-/// At most one `elect()` protocol may return [`rtas_sim::protocol::ret::WIN`]
-/// in any execution; if no participating process crashes, exactly one does.
-/// Each process calls `elect()` at most once.
-pub trait LeaderElect: Send + Sync {
-    /// Build the per-process protocol performing one `elect()` call.
-    fn elect(&self) -> Box<dyn Protocol>;
-}
-
 /// A leader-election object with a fixed, small number of named roles.
 ///
 /// The 2- and 3-process elections used inside RatRace address participants
 /// by *role* (e.g. "left child winner" vs "splitter winner"), and each role
 /// may be used by at most one process per execution — the structures
-/// guarantee this by construction, and the simulator objects check it with
-/// a per-role entry register in debug builds.
+/// guarantee this by construction.
 pub trait RoleLeaderElect: Send + Sync {
     /// Number of roles (2 or 3 for the paper's objects).
     fn roles(&self) -> usize;
@@ -42,11 +31,10 @@ pub trait SplitterObject: Send + Sync {
 mod tests {
     use super::*;
 
-    // The traits must stay object-safe: they are stored as `Box<dyn …>` /
-    // `Arc<dyn …>` throughout the composite algorithms.
+    // The traits must stay object-safe: tests and tools hold them as
+    // `&dyn …`.
     #[test]
     fn traits_are_object_safe() {
-        fn _le(_: &dyn LeaderElect) {}
         fn _role(_: &dyn RoleLeaderElect) {}
         fn _sp(_: &dyn SplitterObject) {}
     }

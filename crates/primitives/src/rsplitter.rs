@@ -19,39 +19,49 @@ use crate::object::SplitterObject;
 /// Descriptor of one randomized splitter (2 registers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RSplitter {
+    /// `X`; the door `Y` is the register after it.
     x: RegId,
-    y: RegId,
 }
 
 impl RSplitter {
     /// Allocate a randomized splitter's registers under the given label.
     pub fn new(memory: &mut Memory, label: &str) -> Self {
-        let regs = memory.alloc(2, label);
-        RSplitter {
-            x: regs.get(0),
-            y: regs.get(1),
-        }
+        RSplitter::at(memory.alloc(2, label).start())
     }
 
     /// Build from a pre-allocated 2-register range (lazy structures).
     pub fn from_range(range: rtas_sim::memory::RegRange) -> Self {
         assert!(range.len() >= 2, "rsplitter needs 2 registers");
-        RSplitter {
-            x: range.get(0),
-            y: range.get(1),
-        }
+        RSplitter::at(range.start())
+    }
+
+    /// The randomized splitter whose 2 registers start at `base`.
+    #[inline]
+    pub fn at(base: RegId) -> Self {
+        RSplitter { x: base }
     }
 
     /// Number of registers a randomized splitter occupies.
     pub const REGISTERS: u64 = 2;
+
+    /// The frame of one `split()` call.
+    #[inline]
+    pub fn frame(self) -> RSplitFrame {
+        RSplitFrame {
+            sp: self,
+            state: State::Init,
+        }
+    }
+
+    #[inline]
+    fn y(self) -> RegId {
+        self.x.offset(1)
+    }
 }
 
 impl SplitterObject for RSplitter {
     fn split(&self) -> Box<dyn Protocol> {
-        Box::new(RSplitProtocol {
-            sp: *self,
-            state: State::Init,
-        })
+        Box::new(self.frame())
     }
 }
 
@@ -64,8 +74,9 @@ enum State {
     ReadX,
 }
 
-#[derive(Debug)]
-struct RSplitProtocol {
+/// One randomized `split()` call in progress.
+#[derive(Debug, Clone, Copy)]
+pub struct RSplitFrame {
     sp: RSplitter,
     state: State,
 }
@@ -78,7 +89,8 @@ fn random_direction(ctx: &mut Ctx<'_>) -> Word {
     }
 }
 
-impl Protocol for RSplitProtocol {
+impl Protocol for RSplitFrame {
+    #[inline(always)]
     fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         let me = ctx.pid.index() as Word + 1;
         match self.state {
@@ -88,14 +100,14 @@ impl Protocol for RSplitProtocol {
             }
             State::WroteX => {
                 self.state = State::ReadY;
-                Poll::Op(MemOp::Read(self.sp.y))
+                Poll::Op(MemOp::Read(self.sp.y()))
             }
             State::ReadY => {
                 if input.read_value() != 0 {
                     return Poll::Done(random_direction(ctx));
                 }
                 self.state = State::WroteY;
-                Poll::Op(MemOp::Write(self.sp.y, 1))
+                Poll::Op(MemOp::Write(self.sp.y(), 1))
             }
             State::WroteY => {
                 self.state = State::ReadX;

@@ -24,40 +24,50 @@ use crate::object::SplitterObject;
 /// Descriptor of one deterministic splitter (2 registers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Splitter {
+    /// `X`; the door `Y` is the register after it.
     x: RegId,
-    y: RegId,
 }
 
 impl Splitter {
     /// Allocate a splitter's registers under the given label.
     pub fn new(memory: &mut Memory, label: &str) -> Self {
-        let regs = memory.alloc(2, label);
-        Splitter {
-            x: regs.get(0),
-            y: regs.get(1),
-        }
+        Splitter::at(memory.alloc(2, label).start())
     }
 
     /// Allocate from a pre-allocated 2-register range (used by lazily
     /// allocated structures like the original RatRace grid).
     pub fn from_range(range: rtas_sim::memory::RegRange) -> Self {
         assert!(range.len() >= 2, "splitter needs 2 registers");
-        Splitter {
-            x: range.get(0),
-            y: range.get(1),
-        }
+        Splitter::at(range.start())
+    }
+
+    /// The splitter whose 2 registers start at `base`.
+    #[inline]
+    pub const fn at(base: RegId) -> Self {
+        Splitter { x: base }
     }
 
     /// Number of registers a splitter occupies.
     pub const REGISTERS: u64 = 2;
+
+    /// The frame of one `split()` call.
+    #[inline]
+    pub const fn frame(self) -> SplitFrame {
+        SplitFrame {
+            sp: self,
+            state: State::Init,
+        }
+    }
+
+    #[inline]
+    fn y(self) -> RegId {
+        self.x.offset(1)
+    }
 }
 
 impl SplitterObject for Splitter {
     fn split(&self) -> Box<dyn Protocol> {
-        Box::new(SplitProtocol {
-            sp: *self,
-            state: State::Init,
-        })
+        Box::new(self.frame())
     }
 }
 
@@ -70,14 +80,15 @@ enum State {
     ReadX,
 }
 
-/// One `split()` call.
-#[derive(Debug)]
-struct SplitProtocol {
+/// One `split()` call in progress.
+#[derive(Debug, Clone, Copy)]
+pub struct SplitFrame {
     sp: Splitter,
     state: State,
 }
 
-impl Protocol for SplitProtocol {
+impl Protocol for SplitFrame {
+    #[inline(always)]
     fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         // X stores pid + 1 so that 0 remains "nobody".
         let me = ctx.pid.index() as Word + 1;
@@ -88,14 +99,14 @@ impl Protocol for SplitProtocol {
             }
             State::WroteX => {
                 self.state = State::ReadY;
-                Poll::Op(MemOp::Read(self.sp.y))
+                Poll::Op(MemOp::Read(self.sp.y()))
             }
             State::ReadY => {
                 if input.read_value() != 0 {
                     return Poll::Done(ret::SPLIT_LEFT);
                 }
                 self.state = State::WroteY;
-                Poll::Op(MemOp::Write(self.sp.y, 1))
+                Poll::Op(MemOp::Write(self.sp.y(), 1))
             }
             State::WroteY => {
                 self.state = State::ReadX;

@@ -15,37 +15,72 @@
 
 use rtas_sim::memory::Memory;
 use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::word::RegId;
 
 use crate::object::RoleLeaderElect;
-use crate::two_process::TwoProcessLe;
+use crate::two_process::{TwoProcessFrame, TwoProcessLe};
 
-/// Descriptor of one 3-process leader-election object (4 registers).
+/// Descriptor of one 3-process leader-election object (4 registers: the
+/// semifinal's 2, then the final's 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreeProcessLe {
-    semifinal: TwoProcessLe,
-    fina1: TwoProcessLe,
+    base: RegId,
 }
 
 impl ThreeProcessLe {
     /// Allocate the object's registers under the given label.
     pub fn new(memory: &mut Memory, label: &str) -> Self {
-        ThreeProcessLe {
-            semifinal: TwoProcessLe::new(memory, label),
-            fina1: TwoProcessLe::new(memory, label),
-        }
+        // Two 2-process objects, allocated one after the other.
+        let base = memory.alloc(TwoProcessLe::REGISTERS, label).start();
+        memory.alloc(TwoProcessLe::REGISTERS, label);
+        ThreeProcessLe::at(base)
     }
 
     /// Build from a pre-allocated 4-register range (lazy structures).
     pub fn from_range(range: rtas_sim::memory::RegRange) -> Self {
         assert!(range.len() >= 4, "3-process LE needs 4 registers");
-        ThreeProcessLe {
-            semifinal: TwoProcessLe::from_range(range.sub(0, 2)),
-            fina1: TwoProcessLe::from_range(range.sub(2, 2)),
-        }
+        ThreeProcessLe::at(range.start())
+    }
+
+    /// The object whose 4 registers start at `base`.
+    #[inline]
+    pub fn at(base: RegId) -> Self {
+        ThreeProcessLe { base }
     }
 
     /// Number of registers the object occupies.
     pub const REGISTERS: u64 = 2 * TwoProcessLe::REGISTERS;
+
+    #[inline]
+    fn semifinal(self) -> TwoProcessLe {
+        TwoProcessLe::at(self.base)
+    }
+
+    #[inline]
+    fn final_(self) -> TwoProcessLe {
+        TwoProcessLe::at(self.base.offset(TwoProcessLe::REGISTERS))
+    }
+
+    /// The frame of one `elect()` call as `role`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `role >= 3`.
+    #[inline]
+    pub fn frame(self, role: usize) -> ThreeProcessFrame {
+        assert!(role < 3, "3-process LE has roles 0..3, got {role}");
+        // Roles 0 and 1 play the semifinal; role 2 enters the final
+        // directly as its role 1.
+        let (state, match_) = match role {
+            0 | 1 => (State::Semifinal, self.semifinal().frame(role)),
+            _ => (State::Final, self.final_().frame(1)),
+        };
+        ThreeProcessFrame {
+            le: self,
+            state,
+            match_,
+        }
+    }
 }
 
 impl RoleLeaderElect for ThreeProcessLe {
@@ -54,51 +89,40 @@ impl RoleLeaderElect for ThreeProcessLe {
     }
 
     fn elect_as(&self, role: usize) -> Box<dyn Protocol> {
-        assert!(role < 3, "3-process LE has roles 0..3, got {role}");
-        Box::new(ThreeProcessProtocol {
-            le: *self,
-            role,
-            state: State::Start,
-        })
+        Box::new(self.frame(role))
     }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
-    Start,
-    AfterSemifinal,
-    AfterFinal,
+    Semifinal,
+    Final,
 }
 
-#[derive(Debug)]
-struct ThreeProcessProtocol {
+/// One 3-process `elect()` call in progress. The 2-process match being
+/// played runs inline: both matches are leaves, so no call is needed.
+#[derive(Debug, Clone, Copy)]
+pub struct ThreeProcessFrame {
     le: ThreeProcessLe,
-    role: usize,
     state: State,
+    match_: TwoProcessFrame,
 }
 
-impl Protocol for ThreeProcessProtocol {
-    fn resume(&mut self, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
-        match self.state {
-            State::Start => match self.role {
-                0 | 1 => {
-                    self.state = State::AfterSemifinal;
-                    Poll::Call(self.le.semifinal.elect_as(self.role))
-                }
-                _ => {
-                    self.state = State::AfterFinal;
-                    Poll::Call(self.le.fina1.elect_as(1))
-                }
-            },
-            State::AfterSemifinal => {
-                if input.child_value() == ret::WIN {
-                    self.state = State::AfterFinal;
-                    Poll::Call(self.le.fina1.elect_as(0))
-                } else {
-                    Poll::Done(ret::LOSE)
-                }
+impl Protocol for ThreeProcessFrame {
+    #[inline(always)]
+    fn resume(&mut self, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        loop {
+            let v = match self.match_.resume(input, ctx) {
+                Poll::Done(v) => v,
+                op => return op,
+            };
+            if self.state == State::Final || v != ret::WIN {
+                return Poll::Done(v);
             }
-            State::AfterFinal => Poll::Done(input.child_value()),
+            // The semifinal winner plays the final as role 0.
+            self.state = State::Final;
+            self.match_ = self.le.final_().frame(0);
+            input = Resume::Start;
         }
     }
 

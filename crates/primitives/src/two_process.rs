@@ -80,31 +80,51 @@ impl Slot {
     }
 }
 
-/// Descriptor of one 2-process leader-election object (2 registers).
+/// Descriptor of one 2-process leader-election object (2 registers:
+/// role `i` owns the `i`-th).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwoProcessLe {
-    regs: [RegId; 2],
+    base: RegId,
 }
 
 impl TwoProcessLe {
     /// Allocate the object's registers under the given label.
     pub fn new(memory: &mut Memory, label: &str) -> Self {
-        let r = memory.alloc(2, label);
-        TwoProcessLe {
-            regs: [r.get(0), r.get(1)],
-        }
+        TwoProcessLe::at(memory.alloc(2, label).start())
     }
 
     /// Build from a pre-allocated 2-register range (lazy structures).
     pub fn from_range(range: rtas_sim::memory::RegRange) -> Self {
         assert!(range.len() >= 2, "2-process LE needs 2 registers");
-        TwoProcessLe {
-            regs: [range.get(0), range.get(1)],
-        }
+        TwoProcessLe::at(range.start())
+    }
+
+    /// The object whose 2 registers start at `base`.
+    #[inline]
+    pub fn at(base: RegId) -> Self {
+        TwoProcessLe { base }
     }
 
     /// Number of registers the object occupies.
     pub const REGISTERS: u64 = 2;
+
+    /// The frame of one `elect()` call as `role`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `role >= 2`.
+    #[inline]
+    pub fn frame(self, role: usize) -> TwoProcessFrame {
+        assert!(role < 2, "2-process LE has roles 0 and 1, got {role}");
+        TwoProcessFrame {
+            le: self,
+            role: role as u8,
+            coin: 0,
+            state: State::Announce,
+            round: 1,
+            claimed_round: None,
+        }
+    }
 }
 
 impl RoleLeaderElect for TwoProcessLe {
@@ -113,15 +133,7 @@ impl RoleLeaderElect for TwoProcessLe {
     }
 
     fn elect_as(&self, role: usize) -> Box<dyn Protocol> {
-        assert!(role < 2, "2-process LE has roles 0 and 1, got {role}");
-        Box::new(TwoProcessProtocol {
-            le: *self,
-            role,
-            round: 1,
-            coin: 0,
-            state: State::Announce,
-            claimed_round: None,
-        })
+        Box::new(self.frame(role))
     }
 }
 
@@ -139,34 +151,35 @@ enum State {
     DecideAfterConfirm,
 }
 
-#[derive(Debug)]
-struct TwoProcessProtocol {
+/// One 2-process `elect()` call in progress.
+#[derive(Debug, Clone, Copy)]
+pub struct TwoProcessFrame {
     le: TwoProcessLe,
-    role: usize,
-    round: Word,
-    coin: Word,
+    role: u8,
+    coin: u8,
     state: State,
+    round: Word,
     /// Round of this process's most recent claim (withdrawn or not).
     /// Guards the tiebreak: a frozen peer announcement with the winning
     /// coin may belong to a victim of that claim, so it must not beat us.
     claimed_round: Option<Word>,
 }
 
-impl TwoProcessProtocol {
+impl TwoProcessFrame {
     fn my_reg(&self) -> RegId {
-        self.le.regs[self.role]
+        self.le.base.offset(u64::from(self.role))
     }
 
     fn peer_reg(&self) -> RegId {
-        self.le.regs[1 - self.role]
+        self.le.base.offset(u64::from(1 - self.role))
     }
 
     fn announce(&mut self, ctx: &mut Ctx<'_>) -> Poll {
-        self.coin = ctx.rng.coin() as Word;
+        self.coin = ctx.rng.coin() as u8;
         self.state = State::ReadPeer;
         let v = Slot {
             round: self.round,
-            coin: self.coin,
+            coin: Word::from(self.coin),
             claim: NO,
         }
         .pack();
@@ -178,7 +191,7 @@ impl TwoProcessProtocol {
         self.state = State::Confirm;
         let v = Slot {
             round: self.round,
-            coin: self.coin,
+            coin: Word::from(self.coin),
             claim: CLAIM,
         }
         .pack();
@@ -186,8 +199,10 @@ impl TwoProcessProtocol {
     }
 }
 
-impl Protocol for TwoProcessProtocol {
+impl Protocol for TwoProcessFrame {
+    #[inline(always)]
     fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        let coin = Word::from(self.coin);
         match self.state {
             State::Announce => self.announce(ctx),
             State::ReadPeer => {
@@ -210,11 +225,11 @@ impl Protocol for TwoProcessProtocol {
                     return self.claim();
                 }
                 // Same round; a same-round peer claim was handled above.
-                if peer.coin == self.coin {
+                if peer.coin == coin {
                     self.round += 1;
                     return self.announce(ctx);
                 }
-                if self.coin == 0 {
+                if coin == 0 {
                     if self.claimed_round == Some(self.round) {
                         // We withdrew a claim at this round; the peer's
                         // announcement may be frozen by that claim (it lost
@@ -246,7 +261,7 @@ impl Protocol for TwoProcessProtocol {
                 if peer.round < self.round {
                     return Poll::Done(ret::WIN);
                 }
-                if peer.round == self.round && self.coin == 1 && peer.coin == 0 {
+                if peer.round == self.round && coin == 1 && peer.coin == 0 {
                     // The peer can only ever observe our round-r state
                     // (announce or claim), and loses to either.
                     return Poll::Done(ret::WIN);

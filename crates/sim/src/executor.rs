@@ -1,10 +1,11 @@
 //! Driving protocols against an adversary.
 //!
-//! [`Execution`] owns the memory and one [`SubRuntime`] per process. Each
+//! [`Execution`] owns the memory and one protocol per process. Each
 //! iteration of [`Execution::run`]:
 //!
 //! 1. every live process is *poised* on one committed shared-memory
-//!    operation (produced by its protocol stack),
+//!    operation (produced by its protocol; composite protocols step a
+//!    frame stack inside it),
 //! 2. the adversary inspects a class-filtered [`crate::adversary::View`]
 //!    and picks the next process,
 //! 3. the chosen process's operation executes atomically (one *step*), and
@@ -46,67 +47,39 @@ use crate::protocol::{Ctx, Notes, Poll, Protocol, Resume};
 use crate::rng::SplitMix64;
 use crate::word::{ProcessId, Word};
 
-/// A protocol call stack plus the bookkeeping to drive it.
-///
-/// This is the reusable core of the per-process runtime; Section 4's
-/// combiner also embeds two `SubRuntime`s inside a single process to
-/// interleave RatRace with another algorithm.
-pub struct SubRuntime {
-    stack: Vec<Box<dyn Protocol>>,
+/// One process's protocol plus the bookkeeping to drive it: the input
+/// the protocol is resumed with next, the operation it is poised on, and
+/// its result once finished.
+pub(crate) struct Runtime {
+    protocol: Box<dyn Protocol>,
     next_input: Option<Resume>,
     pending: Option<MemOp>,
     finished: Option<Word>,
 }
 
-impl std::fmt::Debug for SubRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SubRuntime")
-            .field("depth", &self.stack.len())
-            .field("pending", &self.pending)
-            .field("finished", &self.finished)
-            .finish()
-    }
-}
-
-/// What a [`SubRuntime::advance`] call produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubPoll {
-    /// The runtime is poised on this operation; execute it and call
-    /// [`SubRuntime::feed`] with the result.
-    NeedsOp(MemOp),
-    /// The root protocol finished with this value.
-    Finished(Word),
-}
-
-impl SubRuntime {
-    /// A runtime that will run `root` from its start.
-    pub fn new(root: Box<dyn Protocol>) -> Self {
-        SubRuntime {
-            stack: vec![root],
+impl Runtime {
+    /// A runtime that will run `protocol` from its start.
+    pub(crate) fn new(protocol: Box<dyn Protocol>) -> Self {
+        Runtime {
+            protocol,
             next_input: Some(Resume::Start),
             pending: None,
             finished: None,
         }
     }
 
-    /// Rewind this runtime to run `root` from its start, reusing the stack
-    /// allocation. Part of the allocation-light trial loop (see
-    /// [`Execution::reset`]).
-    pub fn reset(&mut self, root: Box<dyn Protocol>) {
-        self.stack.clear();
-        self.stack.push(root);
-        self.next_input = Some(Resume::Start);
-        self.pending = None;
-        self.finished = None;
+    /// Rewind this runtime to run `protocol` from its start.
+    pub(crate) fn reset(&mut self, protocol: Box<dyn Protocol>) {
+        *self = Runtime::new(protocol);
     }
 
     /// The operation this runtime is currently poised on, if any.
-    pub fn pending(&self) -> Option<MemOp> {
+    pub(crate) fn pending(&self) -> Option<MemOp> {
         self.pending
     }
 
-    /// The final result, if the root protocol finished.
-    pub fn finished(&self) -> Option<Word> {
+    /// The final result, if the protocol finished.
+    pub(crate) fn finished(&self) -> Option<Word> {
         self.finished
     }
 
@@ -117,7 +90,7 @@ impl SubRuntime {
     /// Panics if there is no pending operation or the resume kind does not
     /// match it (a read must be fed [`Resume::Read`], a write
     /// [`Resume::Wrote`]).
-    pub fn feed(&mut self, input: Resume) {
+    pub(crate) fn feed(&mut self, input: Resume) {
         let op = self.pending.take().expect("feed without pending op");
         match (op.kind(), input) {
             (OpKind::Read, Resume::Read(_)) | (OpKind::Write, Resume::Wrote) => {}
@@ -126,37 +99,26 @@ impl SubRuntime {
         self.next_input = Some(input);
     }
 
-    /// Drive the stack until it is poised on an operation or finished.
+    /// Resume the protocol once, leaving it poised on an operation or
+    /// finished. Returns whether it finished.
     ///
     /// # Panics
     ///
-    /// Panics if called while an operation is pending and unfed, or after
-    /// the runtime finished.
-    pub fn advance(&mut self, ctx: &mut Ctx<'_>) -> SubPoll {
+    /// Panics if called while an operation is pending and unfed.
+    pub(crate) fn advance(&mut self, ctx: &mut Ctx<'_>) -> bool {
         assert!(self.pending.is_none(), "advance with unfed pending op");
-        if let Some(v) = self.finished {
-            return SubPoll::Finished(v);
+        if self.finished.is_some() {
+            return true;
         }
-        loop {
-            let input = self.next_input.take().expect("runtime missing input");
-            let top = self.stack.last_mut().expect("runtime with empty stack");
-            match top.resume(input, ctx) {
-                Poll::Op(op) => {
-                    self.pending = Some(op);
-                    return SubPoll::NeedsOp(op);
-                }
-                Poll::Call(child) => {
-                    self.stack.push(child);
-                    self.next_input = Some(Resume::Start);
-                }
-                Poll::Done(v) => {
-                    self.stack.pop();
-                    if self.stack.is_empty() {
-                        self.finished = Some(v);
-                        return SubPoll::Finished(v);
-                    }
-                    self.next_input = Some(Resume::Child(v));
-                }
+        let input = self.next_input.take().expect("runtime missing input");
+        match self.protocol.resume(input, ctx) {
+            Poll::Op(op) => {
+                self.pending = Some(op);
+                false
+            }
+            Poll::Done(v) => {
+                self.finished = Some(v);
+                true
             }
         }
     }
@@ -175,7 +137,7 @@ pub(crate) enum Liveness {
 
 /// Per-process state inside an [`Execution`].
 pub(crate) struct ProcessState {
-    pub(crate) runtime: SubRuntime,
+    pub(crate) runtime: Runtime,
     pub(crate) rng: SplitMix64,
     pub(crate) notes: Notes,
     pub(crate) liveness: Liveness,
@@ -327,7 +289,7 @@ impl Execution {
             .into_iter()
             .enumerate()
             .map(|(i, root)| ProcessState {
-                runtime: SubRuntime::new(root),
+                runtime: Runtime::new(root),
                 rng: SplitMix64::split(seed, i as u64),
                 notes: Notes::default(),
                 liveness: Liveness::Live,
@@ -351,10 +313,10 @@ impl Execution {
     /// Rewind this execution for a fresh trial: reset all registers (keeping
     /// allocations), zero the accounting, and install new root protocols.
     ///
-    /// Together with [`SubRuntime::reset`] and [`Memory::reset`] this lets a
-    /// trial loop reuse one `Execution` end to end — after the first trial
-    /// the executor performs no heap allocation in steady state (the only
-    /// remaining allocations are the protocol boxes the caller supplies).
+    /// Together with [`Memory::reset`] this lets a trial loop reuse one
+    /// `Execution` end to end — after the first trial the executor
+    /// performs no heap allocation in steady state (the only remaining
+    /// allocations are the protocol boxes the caller supplies).
     ///
     /// The register *layout* is kept: callers re-running an algorithm on the
     /// same structure must pass protocols built against the ranges already
@@ -371,7 +333,7 @@ impl Execution {
                 p.liveness = Liveness::Live;
             } else {
                 self.procs.push(ProcessState {
-                    runtime: SubRuntime::new(root),
+                    runtime: Runtime::new(root),
                     rng: SplitMix64::split(seed, i as u64),
                     notes: Notes::default(),
                     liveness: Liveness::Live,
@@ -643,8 +605,7 @@ impl Execution {
             rng: &mut p.rng,
             notes: &mut p.notes,
         };
-        let poll = p.runtime.advance(&mut ctx);
-        if !was_finished && matches!(poll, SubPoll::Finished(_)) {
+        if p.runtime.advance(&mut ctx) && !was_finished {
             self.live -= 1;
         }
     }
@@ -722,18 +683,6 @@ mod tests {
         }
     }
 
-    /// Calls a child `Const` and returns child value + 10.
-    struct Caller;
-    impl Protocol for Caller {
-        fn resume(&mut self, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
-            match input {
-                Resume::Start => Poll::Call(boxed(Const(5))),
-                Resume::Child(v) => Poll::Done(v + 10),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
     #[test]
     fn single_process_write_read() {
         let mut mem = Memory::new();
@@ -758,14 +707,6 @@ mod tests {
         assert_eq!(res.outcome(ProcessId(1)), Some(2));
         assert_eq!(res.steps().total(), 4);
         assert_eq!(res.steps().contention(), 2);
-    }
-
-    #[test]
-    fn call_stack_composition() {
-        let mem = Memory::new();
-        let res = Execution::new(mem, vec![Box::new(Caller)], 7).run(&mut RoundRobin::new(1));
-        assert_eq!(res.outcome(ProcessId(0)), Some(15));
-        assert_eq!(res.steps().total(), 0, "no shared-memory steps taken");
     }
 
     #[test]
@@ -835,8 +776,8 @@ mod tests {
     }
 
     #[test]
-    fn subruntime_feed_mismatch_panics() {
-        let mut rt = SubRuntime::new(boxed(Const(0)));
+    fn runtime_feed_mismatch_panics() {
+        let mut rt = Runtime::new(boxed(Const(0)));
         let mut rng = SplitMix64::new(0);
         let mut notes = Notes::default();
         let mut ctx = Ctx {
@@ -844,7 +785,8 @@ mod tests {
             rng: &mut rng,
             notes: &mut notes,
         };
-        assert_eq!(rt.advance(&mut ctx), SubPoll::Finished(0));
+        assert!(rt.advance(&mut ctx));
+        assert_eq!(rt.finished(), Some(0));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.feed(Resume::Wrote);
         }));

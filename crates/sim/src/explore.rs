@@ -15,7 +15,7 @@
 //! bounded. Executions are replayed from scratch along each path; protocol
 //! states are tiny, so this is fast up to millions of leaves.
 
-use crate::executor::SubRuntime;
+use crate::executor::Runtime;
 use crate::memory::Memory;
 use crate::op::MemOp;
 use crate::protocol::{Ctx, Notes, Protocol, Resume};
@@ -148,7 +148,7 @@ where
 {
     let (mut memory, protocols) = factory();
     let n = protocols.len();
-    let mut runtimes: Vec<SubRuntime> = protocols.into_iter().map(SubRuntime::new).collect();
+    let mut runtimes: Vec<Runtime> = protocols.into_iter().map(Runtime::new).collect();
     let mut notes = vec![Notes::default(); n];
     let mut pos = 0usize; // cursor into `script`
     let mut steps = 0u64;

@@ -13,8 +13,8 @@
 //!   allocation, and exact space accounting (used to verify the paper's
 //!   Θ(n) vs Θ(n³) space claims).
 //! * [`protocol`] — algorithms written as resumable state machines
-//!   ([`protocol::Protocol`]) composed through an executor-managed call stack; each
-//!   shared-memory operation is one *step* in the paper's sense.
+//!   ([`protocol::Protocol`]); each shared-memory operation is one *step*
+//!   in the paper's sense.
 //! * [`adversary`] — the adversary hierarchy of the paper (adaptive,
 //!   location-oblivious, R/W-oblivious, oblivious), with views filtered by
 //!   construction so an adversary physically cannot see more than its class
@@ -85,7 +85,7 @@ pub mod prelude {
         Adversary, AdversaryClass, FnAdversary, Injection, ObliviousAdversary, PendingView,
         RandomSchedule, RoundRobin, Strategy, View,
     };
-    pub use crate::executor::{Execution, ExecutionResult, RunOutcome, SubPoll, SubRuntime};
+    pub use crate::executor::{Execution, ExecutionResult, RunOutcome};
     pub use crate::explore::{explore, ExploreConfig, ExploreStats, Explored};
     pub use crate::history::RecordMode;
     pub use crate::memory::{Memory, RegRange, RegionStats};

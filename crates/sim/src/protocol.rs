@@ -2,10 +2,15 @@
 //!
 //! An algorithm for one process is a [`Protocol`]: a state machine that the
 //! per-process runtime drives by calling [`Protocol::resume`]. Each call
-//! either requests one shared-memory operation ([`Poll::Op`]), calls a child
-//! protocol ([`Poll::Call`]) — which is how the paper's object compositions
+//! either requests one shared-memory operation ([`Poll::Op`]) or terminates
+//! with a result ([`Poll::Done`]).
+//!
+//! The simulator composes nothing itself. The paper's object compositions
 //! (group elections inside leader-election ladders inside combiners) are
-//! expressed — or terminates with a result ([`Poll::Done`]).
+//! frame stacks inside one protocol: `rtas_algorithms::frame` steps a
+//! closed enum of `Copy` frames, each child call returning the child frame
+//! by value and each finished child resuming its caller with
+//! [`Resume::Child`]. The same frames run natively on real atomics.
 //!
 //! Local computation and coin flips happen *inside* `resume`, between
 //! shared-memory steps. After `resume` returns `Poll::Op`, the process is
@@ -40,25 +45,13 @@ pub mod ret {
 }
 
 /// What a protocol does next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Poll {
     /// Perform one shared-memory operation; its result arrives in the next
     /// [`Resume`].
     Op(MemOp),
-    /// Run a child protocol to completion; its result arrives as
-    /// [`Resume::Child`].
-    Call(Box<dyn Protocol>),
     /// The protocol finished with this result.
     Done(Word),
-}
-
-impl std::fmt::Debug for Poll {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Poll::Op(op) => f.debug_tuple("Op").field(op).finish(),
-            Poll::Call(p) => f.debug_tuple("Call").field(&p.name()).finish(),
-            Poll::Done(v) => f.debug_tuple("Done").field(v).finish(),
-        }
-    }
 }
 
 /// The event a protocol is resumed with.
@@ -70,8 +63,8 @@ pub enum Resume {
     Read(Word),
     /// The write requested by the previous `Poll::Op` completed.
     Wrote,
-    /// The child protocol called by the previous `Poll::Call` finished with
-    /// this value.
+    /// A child frame called by the resumed frame finished with this
+    /// value. Only frame stacks deliver it; the executor never does.
     Child(Word),
 }
 
@@ -82,6 +75,7 @@ impl Resume {
     ///
     /// Panics if this is not [`Resume::Read`] — protocols use this when
     /// their state machine knows a read must be pending.
+    #[inline]
     pub fn read_value(self) -> Word {
         match self {
             Resume::Read(v) => v,
@@ -94,6 +88,7 @@ impl Resume {
     /// # Panics
     ///
     /// Panics if this is not [`Resume::Child`].
+    #[inline]
     pub fn child_value(self) -> Word {
         match self {
             Resume::Child(v) => v,
@@ -222,7 +217,6 @@ mod tests {
             format!("{:?}", Poll::Op(MemOp::Read(RegId(1)))),
             "Op(Read(r1))"
         );
-        assert!(format!("{:?}", Poll::Call(boxed(Const(0)))).contains("const"));
         assert_eq!(format!("{:?}", Poll::Done(3)), "Done(3)");
     }
 }

@@ -5,8 +5,8 @@
 //! this job". This crate puts the paper's verified randomized
 //! algorithms behind exactly that interface — a std-only TCP server
 //! arbitrating contended decisions over **keyed namespaces**, each key
-//! an epoch-recycled [`rtas::TestAndSet`] / [`rtas::LeaderElection`]
-//! held behind the [`rtas::Arbiter`] vtable. Three layers:
+//! an epoch-recycled [`rtas::ObjectState`] (its registers and counters)
+//! run through the namespace's shared [`rtas::Layout`]. Three layers:
 //!
 //! * [`protocol`] — the length-prefixed binary wire format (`TAS key`,
 //!   `ELECT key`, `RESET key`, `STATS`), with in-order responses so

@@ -1,8 +1,8 @@
 //! Keyed arbitration namespaces: one epoch-recycled object per key.
 //!
 //! A [`Namespace`] maps byte-string keys to recyclable arbitration
-//! objects ([`rtas::TestAndSet`] / [`rtas::LeaderElection`] behind the
-//! [`Arbiter`] vtable). Keys hash (FNV-1a) to **shards** — each shard
+//! objects — test-and-set or leader-election semantics over one shared
+//! [`Layout`]. Keys hash (FNV-1a) to **shards** — each shard
 //! is an independently locked map in its own pair of cache lines, so
 //! traffic on unrelated keys never contends on one lock or
 //! false-shares a header.
@@ -23,17 +23,19 @@
 //!   the resetting bit — closing admission — then waits until
 //!   `finished` has caught up with the admitted count (the object is
 //!   quiescent), recycles the object with its allocation-free
-//!   [`Arbiter::reset`], and opens the next epoch with a release store
+//!   [`ObjectState::reset`], and opens the next epoch with a release store
 //!   that every later admission reads with acquire ordering. The reset
 //!   therefore happens-before every next-epoch operation — the
 //!   quiescence contract of [`rtas::native::NativeMemory::reset`]
 //!   discharged by construction, with no static participant groups.
 //!
-//! The steady-state op path — lookup of an existing key, admission,
-//! protocol run, finish — performs **zero allocations** beyond the
-//! protocol state machines themselves (pinned by the counting-allocator
-//! test in `tests/alloc_steady.rs`); only first-contact key creation
-//! allocates.
+//! Every key shares the namespace's one [`Layout`] — the protocol
+//! descriptor and register count, computed once per `(backend,
+//! capacity)` — and owns only an [`ObjectState`]: a zeroed register block
+//! and its counters. The steady-state op path — lookup of an existing
+//! key, admission, protocol run, finish — performs **zero allocations**
+//! (pinned by the counting-allocator test in `tests/alloc_steady.rs`);
+//! only first-contact key creation allocates.
 //!
 //! ## Leases: reclaiming epochs whose holders vanished
 //!
@@ -65,7 +67,7 @@ use std::time::Duration;
 
 use rtas::native::NativeRunner;
 use rtas::sync::{Backoff, CachePadded};
-use rtas::{Arbiter, Backend, LeaderElection, MonotonicClock, TestAndSet};
+use rtas::{Backend, Layout, MonotonicClock, ObjectState};
 use rtas_obs::{EventKind, FlightRecorder, Lane};
 
 use crate::protocol::{Acquired, SvcStats};
@@ -303,14 +305,14 @@ impl EpochGate {
     }
 }
 
-/// One key's state: the recyclable object behind the [`Arbiter`]
-/// vtable and its epoch gate. Cumulative counters live on the key's
-/// *shard* (`ShardCounters`), not the entry — `stats()` then reads
-/// a handful of atomics per shard instead of walking every key under
-/// its lock.
+/// One key's state: its recyclable object's registers and counters
+/// (run through the namespace's shared [`Layout`]) and its epoch gate.
+/// Cumulative counters live on the key's *shard* (`ShardCounters`), not
+/// the entry — `stats()` then reads a handful of atomics per shard
+/// instead of walking every key under its lock.
 pub struct Entry {
     kind: Kind,
-    arbiter: Box<dyn Arbiter>,
+    object: ObjectState,
     gate: EpochGate,
 }
 
@@ -318,23 +320,26 @@ impl std::fmt::Debug for Entry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Entry")
             .field("kind", &self.kind)
-            .field("backend", &self.arbiter.backend())
-            .field("capacity", &self.arbiter.capacity())
             .field("epoch", &self.epoch())
             .finish()
     }
 }
 
 impl Entry {
-    fn new(kind: Kind, backend: Backend, capacity: usize) -> Self {
-        let arbiter: Box<dyn Arbiter> = match kind {
-            Kind::Tas => Box::new(TestAndSet::with_backend(backend, capacity)),
-            Kind::Elect => Box::new(LeaderElection::with_backend(backend, capacity)),
-        };
+    fn new(kind: Kind, layout: &Layout) -> Self {
         Entry {
             kind,
-            arbiter,
+            object: layout.state(),
             gate: EpochGate::new(),
+        }
+    }
+
+    /// Atomic registers of a `kind` object of `layout` (a test-and-set
+    /// adds its bit).
+    fn registers(kind: Kind, layout: &Layout) -> u64 {
+        match kind {
+            Kind::Tas => layout.tas_registers(),
+            Kind::Elect => layout.registers(),
         }
     }
 
@@ -348,8 +353,10 @@ impl Entry {
         self.gate.epoch()
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn acquire(
         &self,
+        layout: &Layout,
         counters: &ShardCounters,
         runner: &mut NativeRunner,
         now_ns: u64,
@@ -359,10 +366,7 @@ impl Entry {
     ) -> Acquired {
         counters.ops.fetch_add(1, Ordering::Relaxed);
         loop {
-            match self
-                .gate
-                .admit(self.arbiter.capacity() as u64, now_ns, lease_ns)
-            {
+            match self.gate.admit(layout.capacity() as u64, now_ns, lease_ns) {
                 // Over capacity: certainly not the winner — the loss
                 // verdict linearizes right after the epoch's eventual
                 // winner. Unless the full epoch's lease already expired:
@@ -376,7 +380,10 @@ impl Entry {
                     return Acquired { won: false, epoch };
                 }
                 Admission::Admitted { epoch } => {
-                    let won = self.arbiter.try_acquire(runner);
+                    let won = match self.kind {
+                        Kind::Tas => !layout.test_and_set(&self.object, runner),
+                        Kind::Elect => layout.elect(&self.object, runner),
+                    };
                     if won {
                         counters.wins.fetch_add(1, Ordering::Relaxed);
                     }
@@ -394,7 +401,7 @@ impl Entry {
     fn recycle(&self, counters: &ShardCounters) -> (u64, bool) {
         match self.gate.begin_reset() {
             Some(old) => {
-                self.arbiter.reset();
+                self.object.reset();
                 counters.resets.fetch_add(1, Ordering::Relaxed);
                 (self.gate.end_reset(old), true)
             }
@@ -417,7 +424,7 @@ impl Entry {
     ) -> bool {
         match self.gate.begin_reclaim(now_ns) {
             Some(old) => {
-                self.arbiter.reset();
+                self.object.reset();
                 self.gate.end_reset(old);
                 counters.resets.fetch_add(1, Ordering::Relaxed);
                 counters.reclaimed.fetch_add(1, Ordering::Relaxed);
@@ -456,8 +463,8 @@ struct NsShard {
 #[derive(Debug)]
 pub struct Namespace {
     shards: Vec<CachePadded<NsShard>>,
-    backend: Backend,
-    capacity: usize,
+    /// The one layout every key's object shares.
+    layout: &'static Layout,
     max_keys: usize,
     /// Live keys across all shards (maintained under the shard write
     /// locks, read lock-free by the admission check — the ceiling may
@@ -567,8 +574,7 @@ impl Namespace {
                     })
                 })
                 .collect(),
-            backend,
-            capacity,
+            layout: Layout::shared(backend, capacity),
             max_keys,
             key_count: AtomicUsize::new(0),
             lease_ns,
@@ -593,7 +599,7 @@ impl Namespace {
 
     /// Participants admitted per key-epoch.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.layout.capacity()
     }
 
     /// Ceiling on live keys across all shards.
@@ -603,7 +609,7 @@ impl Namespace {
 
     /// The algorithm backing every keyed object.
     pub fn backend(&self) -> Backend {
-        self.backend
+        self.layout.backend()
     }
 
     /// The admission lease, if reclamation is enabled.
@@ -667,13 +673,13 @@ impl Namespace {
                 max_keys: self.max_keys,
             });
         }
-        let entry = Arc::new(Entry::new(kind, self.backend, self.capacity));
+        let entry = Arc::new(Entry::new(kind, self.layout));
         // Keys are never evicted, so accumulating registers at creation
         // keeps the counter equal to the sum over all live objects.
         shard
             .counters
             .registers
-            .fetch_add(entry.arbiter.registers(), Ordering::Relaxed);
+            .fetch_add(Entry::registers(kind, self.layout), Ordering::Relaxed);
         map.insert(key.into(), Arc::clone(&entry));
         self.key_count.fetch_add(1, Ordering::Relaxed);
         Ok(entry)
@@ -694,6 +700,7 @@ impl Namespace {
         let key_hash = fnv1a(key);
         let shard = &self.shards[(key_hash % self.shards.len() as u64) as usize].0;
         Ok(self.get_or_create(shard, kind, key)?.acquire(
+            self.layout,
             &shard.counters,
             runner,
             now_ns,
