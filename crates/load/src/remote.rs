@@ -506,7 +506,7 @@ pub fn run_load_remote_traced(
 /// report extras a remote run attaches to its `scope=total` row
 /// ([`LoadOutcome::svc_extras`]).
 ///
-/// The set is **fixed** — eight extras, always in this order, every name
+/// The set is **fixed** — seven extras, always in this order, every name
 /// present even when the server reports nothing for it (a threads
 /// engine has no `reactor.worker<k>.*` gauges; the sums are then 0) —
 /// so baseline and current reports always carry identical value keys
@@ -514,8 +514,7 @@ pub fn run_load_remote_traced(
 ///
 /// `svc_ops`, `svc_wins`, `svc_resets`, `svc_reclaimed`, `svc_refused`
 /// (the namespace counters), `svc_carryovers` (the reactor counter),
-/// and `svc_slab_live` / `svc_wheel_entries` (per-worker gauges summed
-/// across workers).
+/// and `svc_slab_live` (the per-worker gauge summed across workers).
 ///
 /// Errors carry a printable message; callers warn and omit the extras
 /// rather than failing a finished run over a scrape.
@@ -549,9 +548,5 @@ pub fn scrape_svc_extras(addr: &str) -> Result<Vec<(String, f64)>, String> {
         ("svc_refused".to_string(), value("svc.refused")),
         ("svc_carryovers".to_string(), value("reactor.carryovers")),
         ("svc_slab_live".to_string(), worker_sum(".slab_live")),
-        (
-            "svc_wheel_entries".to_string(),
-            worker_sum(".wheel_entries"),
-        ),
     ])
 }

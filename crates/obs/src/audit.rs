@@ -11,10 +11,12 @@
 //! 1. **One winner**: at most one *winning* verdict per `(key, epoch)`.
 //! 2. **No post-reclaim wins**: a winning verdict never timestamps
 //!    after the reclaim that tore its epoch down (losing verdicts may —
-//!    a losing arbitration racing the sweeper records late, benignly).
+//!    a losing arbitration racing the reclaiming arrival records late,
+//!    benignly).
 //! 3. **One ack**: at most one `RESET` ack per `(key, epoch)` (acks
 //!    that found no key, `epoch == 0`, are informational and exempt).
-//! 4. **One reclaim**: the sweeper tears an epoch down at most once.
+//! 4. **One reclaim**: an epoch is torn down by at most one reclaiming
+//!    arrival.
 //! 5. **Single opener**: an epoch is opened by a `RESET` ack *or* by a
 //!    reclaim of its predecessor, never both.
 //!
@@ -206,7 +208,7 @@ mod tests {
             ev(EventKind::ArbiterVerdict, 11, 0, 0, KEY), // loss epoch 0
             ev(EventKind::ResetAck, 20, 0, 1, KEY),       // opens epoch 1
             ev(EventKind::ArbiterVerdict, 30, 1, 1, KEY), // win epoch 1
-            ev(EventKind::LeaseReclaim, 99, 0, 1, KEY),   // sweeper tears 1 down
+            ev(EventKind::LeaseReclaim, 99, 0, 1, KEY),   // an arrival tears 1 down
             ev(EventKind::ArbiterVerdict, 120, 1, 2, KEY), // win the reclaim-opened 2
         ];
         let report = audit_events(&events);

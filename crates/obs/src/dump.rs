@@ -183,7 +183,7 @@ fn describe(e: &TraceEvent) -> String {
         Some(EventKind::LeaseReclaim) => format!("epoch={} key=0x{:016x}", e.b, e.c),
         Some(EventKind::BackpressureOn) => format!("slot={} buffered={}", e.a, e.b),
         Some(EventKind::BackpressureOff) => format!("slot={}", e.a),
-        Some(EventKind::TimerSweep) => format!("due={} remaining={}", e.a, e.b),
+        Some(EventKind::TimerSweep) => format!("closed={} scanned={}", e.a, e.b),
         Some(EventKind::ServerSpan) => {
             format!("op={} span=0x{:016x} dur={}ns", e.a, e.b, e.c)
         }

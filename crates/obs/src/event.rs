@@ -18,7 +18,8 @@
 pub enum Lane {
     /// Listener/admission events (also used by the threads engine).
     Accept,
-    /// Lease-reclaim events from the namespace sweeper.
+    /// Lease-reclaim events: an arrival on an expired key-epoch retired
+    /// it.
     Reclaim,
     /// Per-reactor-worker events (index = worker index).
     Worker(usize),
@@ -65,16 +66,18 @@ pub enum EventKind {
     /// A RESET ack retired an epoch. `b` = the epoch it opened, `c` =
     /// key hash. An ack that found nothing to retire records nothing.
     ResetAck = 6,
-    /// An expired lease was reclaimed by the sweeper. `b` = epoch that
-    /// was torn down, `c` = key hash.
+    /// An arrival found its key's lease expired and retired the epoch
+    /// before being admitted into the next one. `b` = epoch that was
+    /// torn down, `c` = key hash.
     LeaseReclaim = 7,
     /// A connection's send buffer filled; writable interest was armed.
     /// `a` = slab slot, `b` = buffered bytes.
     BackpressureOn = 8,
     /// A backpressured connection drained. `a` = slab slot.
     BackpressureOff = 9,
-    /// The timer wheel was swept. `a` = entries due, `b` = entries
-    /// remaining.
+    /// A reactor worker's read-deadline sweep closed idle connections.
+    /// `a` = connections closed, `b` = connections scanned. Sweeps that
+    /// close nothing record nothing.
     TimerSweep = 10,
     /// A server-side request span completed: the request carried a
     /// wire trace context and its full read→decode→arbiter→encode→write

@@ -18,7 +18,7 @@
 //! * [`event`] — the event vocabulary ([`EventKind`]) and the decoded
 //!   record type ([`TraceEvent`]): accept, admission refusal, readiness
 //!   wakeup, frame decoded, arbiter verdict, RESET ack, lease reclaim,
-//!   backpressure on/off, timer-wheel sweep. Every record is four
+//!   backpressure on/off, read-deadline sweep. Every record is four
 //!   `u64` words plus a timestamp from one shared
 //!   [`rtas::MonotonicClock`].
 //! * [`recorder`] — [`FlightRecorder`]: the lanes (accept, reclaim,

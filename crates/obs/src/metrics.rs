@@ -55,7 +55,7 @@ impl Counter {
 }
 
 /// An instantaneous level that can move both ways (live connections,
-/// timer-wheel occupancy).
+/// occupied slab slots).
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -305,7 +305,9 @@ impl Registry {
 /// Parse an `rtas-metrics/1` or `rtas-metrics/2` exposition into
 /// `(name, value)` pairs. Returns `None` if the header is missing or
 /// any line is malformed — scrapers treat that as "server too old /
-/// garbled" and skip extras.
+/// garbled" and skip extras. A name is malformed unless every byte is
+/// in `[A-Za-z0-9_.]` (every name a server emits is), so a parsed name
+/// can be written into JSON or onto a terminal verbatim.
 pub fn parse_metrics(text: &str) -> Option<Vec<(String, f64)>> {
     let mut lines = text.lines();
     let header = lines.next()?;
@@ -319,7 +321,11 @@ pub fn parse_metrics(text: &str) -> Option<Vec<(String, f64)>> {
         }
         let (name, value) = line.split_once(' ')?;
         let value: f64 = value.parse().ok()?;
-        if name.is_empty() || !value.is_finite() {
+        let name_ok = !name.is_empty()
+            && name
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'.');
+        if !name_ok || !value.is_finite() {
             return None;
         }
         out.push((name.to_string(), value));
@@ -440,5 +446,23 @@ mod tests {
             None
         );
         assert_eq!(parse_metrics(&format!("{METRICS_HEADER}\na inf\n")), None);
+    }
+
+    #[test]
+    fn names_outside_the_metric_alphabet_are_rejected() {
+        let ok = format!("{METRICS_HEADER}\nsvc.ops 1\ntrace.worker0.dropped_events 0\n");
+        assert!(parse_metrics(&ok).is_some());
+        // A quote would end a JSON key early (`top --json`).
+        assert_eq!(
+            parse_metrics(&format!("{METRICS_HEADER}\nsvc.\"x 1\n")),
+            None
+        );
+        // An escape byte would reach the operator's terminal (`top`).
+        assert_eq!(
+            parse_metrics(&format!(
+                "{METRICS_HEADER}\ntrace.\x1b[2J.dropped_events 0\n"
+            )),
+            None
+        );
     }
 }

@@ -23,7 +23,8 @@
 //! * [`reactor`] — the readiness-driven core: `epoll(7)`-backed event
 //!   loops over a libc-free syscall shim, each accepting its share of
 //!   connections round-robin and driving thousands of `Connection`
-//!   machines with write backpressure and timer-wheel read deadlines;
+//!   machines with write backpressure and read deadlines checked by
+//!   one periodic sweep over each worker's connection slab;
 //! * [`server`] / [`client`] — TCP serving through either engine
 //!   (reactor workers by default, thread-per-connection as the
 //!   portable fallback) with one admission policy and bulk-I/O burst
@@ -36,7 +37,7 @@
 //!   reordering, stalled holders, byzantine `RESET` acks) that the
 //!   load harness replays bit-identically from one seed;
 //! * [`metrics`] — the service's always-on metrics plane (reactor
-//!   counters, per-worker gauges, per-stage latency histograms) built
+//!   counter, per-worker slab gauge, per-stage latency histograms) built
 //!   on [`rtas_obs`], served by the `METRICS` wire op and scraped into
 //!   `rtas-load` report extras. The companion flight recorder
 //!   (`--trace on|off|sampled:<n>`) writes lock-free per-worker event

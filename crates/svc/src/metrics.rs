@@ -6,9 +6,8 @@
 //!
 //! * **Reactor counter** — `reactor.carryovers` (flushes that left a
 //!   partial write buffered).
-//! * **Per-worker gauges** — `reactor.worker<k>.slab_live` (occupied
-//!   connection slots) and `reactor.worker<k>.wheel_entries` (armed
-//!   idle deadlines in the timer wheel).
+//! * **Per-worker gauge** — `reactor.worker<k>.slab_live` (occupied
+//!   connection slots).
 //! * **Hot-path stage histograms** — `stage.read_ns`, `stage.decode_ns`,
 //!   `stage.arbiter_ns`, `stage.encode_ns`, `stage.write_ns`: the
 //!   read → decode → arbiter → encode → write breakdown of one frame's
@@ -35,8 +34,6 @@ pub struct SvcMetrics {
     pub carryovers: Arc<Counter>,
     /// Occupied connection-slab slots, one gauge per reactor worker.
     pub slab_live: Vec<Arc<Gauge>>,
-    /// Armed timer-wheel deadlines, one gauge per reactor worker.
-    pub wheel_entries: Vec<Arc<Gauge>>,
     /// Time blocked in `read(2)` plus buffer ingestion for one frame
     /// batch, nanoseconds.
     pub stage_read: Arc<Histogram>,
@@ -61,9 +58,6 @@ impl SvcMetrics {
         let slab_live = (0..workers)
             .map(|k| registry.gauge(&format!("reactor.worker{k}.slab_live")))
             .collect();
-        let wheel_entries = (0..workers)
-            .map(|k| registry.gauge(&format!("reactor.worker{k}.wheel_entries")))
-            .collect();
         let stage_read = registry.histogram("stage.read_ns");
         let stage_decode = registry.histogram("stage.decode_ns");
         let stage_arbiter = registry.histogram("stage.arbiter_ns");
@@ -73,7 +67,6 @@ impl SvcMetrics {
             registry,
             carryovers,
             slab_live,
-            wheel_entries,
             stage_read,
             stage_decode,
             stage_arbiter,
@@ -98,15 +91,13 @@ mod tests {
         let m = SvcMetrics::new(2);
         m.carryovers.inc();
         m.slab_live[0].set(3);
-        m.wheel_entries[1].set(7);
+        m.slab_live[1].set(7);
         m.stage_arbiter.record(1234.0);
         let text = m.registry().render();
         for needle in [
             "reactor.carryovers 1\n",
             "reactor.worker0.slab_live 3\n",
-            "reactor.worker1.slab_live 0\n",
-            "reactor.worker0.wheel_entries 0\n",
-            "reactor.worker1.wheel_entries 7\n",
+            "reactor.worker1.slab_live 7\n",
             "stage.read_ns.count 0\n",
             "stage.decode_ns.count 0\n",
             "stage.arbiter_ns.count 1\n",
@@ -121,7 +112,6 @@ mod tests {
     fn zero_worker_metrics_have_no_gauges() {
         let m = SvcMetrics::new(0);
         assert!(m.slab_live.is_empty());
-        assert!(m.wheel_entries.is_empty());
         assert!(!m.registry().render().contains("worker0"));
     }
 }

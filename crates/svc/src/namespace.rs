@@ -41,24 +41,25 @@
 //!
 //! The explicit `RESET` ack makes a hostile client dangerous: a holder
 //! that disconnects mid-epoch (or stalls forever) would leave its key's
-//! epoch open for good — every later arrival drains into loss verdicts
-//! at the full gate and the key never recycles. A namespace built
-//! [`Namespace::with_lease`] arms a **lease** on each epoch at its
-//! *first* admission: once the lease expires without a `RESET`, the
-//! server reclaims the epoch itself — [`Entry`] recycles through the
-//! exact begin/end reset path a client ack takes (quiescence included),
-//! so reclamation can never mint a second winner; it merely retires an
-//! epoch whose single winner (every admitted epoch resolves exactly one)
-//! was never acked. Reclamations are counted separately
-//! ([`SvcStats::reclaimed`]) and triggered two ways: the server's
-//! reaper thread sweeps [`Namespace::reclaim_expired`], and a full
-//! epoch heals lazily — an arrival that finds the gate full checks the
-//! lease inline and re-admits into the fresh epoch. Idle keys are never
-//! reclaimed: an epoch with zero admissions has no lease. Symmetrically,
-//! a `RESET` that arrives for a zero-admission epoch (a byzantine
-//! duplicate ack, or an ack racing a reclamation) is a **no-op** — it
-//! returns the open epoch without recycling, so replayed acks cannot
-//! burn epochs.
+//! epoch open for good — every later arrival joins or drains into loss
+//! verdicts on the stranded epoch and the key never recycles. A
+//! namespace built [`Namespace::with_lease`] arms a **lease** on each
+//! epoch at its *first* admission. Admission is the one place the lease
+//! is checked: an arrival that finds the open epoch's lease expired —
+//! full or not — retires that epoch itself through the exact begin/end
+//! reset path a client ack takes (quiescence included), then is
+//! admitted into the fresh epoch. Reclamation can therefore never mint
+//! a second winner; it merely retires an epoch whose single winner
+//! (every admitted epoch resolves exactly one) was never acked, and an
+//! arrival after expiry always lands in the fresh epoch. Reclamations
+//! are counted separately ([`SvcStats::reclaimed`]) and as resets. A
+//! key nobody touches after expiry keeps its stranded epoch until its
+//! next arrival — nothing is waiting on it, and no thread walks the
+//! key map. Idle keys are never reclaimed: an epoch with zero
+//! admissions has no lease. Symmetrically, a `RESET` that arrives for
+//! a zero-admission epoch (a byzantine duplicate ack, or an ack racing
+//! a reclamation) is a **no-op** — it returns the open epoch without
+//! recycling, so replayed acks cannot burn epochs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -168,6 +169,9 @@ enum Admission {
     /// Epoch already has `capacity` participants; the caller loses
     /// without touching the object (and must *not* call `finish`).
     Full { epoch: u64 },
+    /// The open epoch's lease expired: the caller retires it with
+    /// [`EpochGate::begin_reclaim`] and asks for admission again.
+    Expired,
 }
 
 impl EpochGate {
@@ -189,8 +193,10 @@ impl EpochGate {
     }
 
     /// Admit into the open epoch. `now_ns`/`lease_ns` arm the lease on
-    /// the epoch's first admission; `lease_ns == 0` disables leasing
-    /// (and `now_ns` goes unread — the hot path pays no clock read).
+    /// the epoch's first admission and report an admitted epoch whose
+    /// lease has expired at `now_ns`, full or not; `lease_ns == 0`
+    /// disables leasing (and `now_ns` goes unread — the hot path pays
+    /// no clock read).
     fn admit(&self, capacity: u64, now_ns: u64, lease_ns: u64) -> Admission {
         let mut backoff = Backoff::new();
         loop {
@@ -198,6 +204,15 @@ impl EpochGate {
             if w & RESETTING != 0 {
                 backoff.snooze();
                 continue;
+            }
+            // Read after the acquire load above: `entered > 0` means the
+            // first admission's CAS is visible, and with it the deadline
+            // it stored (store-before-CAS below).
+            if lease_ns != 0
+                && w & ENTERED_MASK != 0
+                && now_ns >= self.lease_deadline_ns.load(Ordering::Relaxed)
+            {
+                return Admission::Expired;
             }
             if w & ENTERED_MASK >= capacity {
                 return Admission::Full {
@@ -259,10 +274,11 @@ impl EpochGate {
     }
 
     /// [`EpochGate::begin_reset`], but only if the open epoch's lease
-    /// has expired at `now_ns` — the server-side reclamation trigger.
-    /// Returns the epoch to retire, claimed and quiescent, or `None`
-    /// (idle epoch, unexpired lease, or a concurrent reset already in
-    /// flight — which is itself the progress we wanted).
+    /// has expired at `now_ns` — what an arrival runs on
+    /// [`Admission::Expired`]. Returns the epoch to retire, claimed and
+    /// quiescent, or `None` (idle epoch, unexpired lease, or a
+    /// concurrent reset already in flight — which is itself the
+    /// progress we wanted).
     fn begin_reclaim(&self, now_ns: u64) -> Option<u64> {
         loop {
             let w = self.word.load(Ordering::Acquire);
@@ -367,18 +383,14 @@ impl Entry {
         counters.ops.fetch_add(1, Ordering::Relaxed);
         loop {
             match self.gate.admit(layout.capacity() as u64, now_ns, lease_ns) {
+                // The holder never acked: retire its epoch, then ask
+                // again — the retry lands in the fresh epoch (or behind
+                // whichever concurrent reset got there first).
+                Admission::Expired => self.reclaim(counters, now_ns, key_hash, trace),
                 // Over capacity: certainly not the winner — the loss
                 // verdict linearizes right after the epoch's eventual
-                // winner. Unless the full epoch's lease already expired:
-                // then the holder is gone, reclaim inline and re-admit
-                // into the fresh epoch (traffic heals a wedged key
-                // without waiting for the reaper sweep).
-                Admission::Full { epoch } => {
-                    if lease_ns != 0 && self.reclaim(counters, now_ns, key_hash, trace) {
-                        continue;
-                    }
-                    return Acquired { won: false, epoch };
-                }
+                // winner.
+                Admission::Full { epoch } => return Acquired { won: false, epoch },
                 Admission::Admitted { epoch } => {
                     let won = match self.kind {
                         Kind::Tas => !layout.test_and_set(&self.object, runner),
@@ -409,31 +421,27 @@ impl Entry {
         }
     }
 
-    /// Reclaim the open epoch if its lease has expired at `now_ns`;
-    /// `true` if an epoch was retired. Same quiescent recycle path as a
-    /// client ack — a reclamation can never produce a second winner.
-    /// Each reclamation lands a [`EventKind::LeaseReclaim`] record
-    /// (retired epoch + key hash) on the recorder's reclaim lane, so a
-    /// flight-recorder dump accounts for every `reclaimed` tick.
+    /// Reclaim the open epoch if its lease has expired at `now_ns`.
+    /// Same quiescent recycle path as a client ack — a reclamation can
+    /// never produce a second winner. Each reclamation lands a
+    /// [`EventKind::LeaseReclaim`] record (retired epoch + key hash) on
+    /// the recorder's reclaim lane, so a flight-recorder dump accounts
+    /// for every `reclaimed` tick.
     fn reclaim(
         &self,
         counters: &ShardCounters,
         now_ns: u64,
         key_hash: u64,
         trace: Option<&FlightRecorder>,
-    ) -> bool {
-        match self.gate.begin_reclaim(now_ns) {
-            Some(old) => {
-                self.object.reset();
-                self.gate.end_reset(old);
-                counters.resets.fetch_add(1, Ordering::Relaxed);
-                counters.reclaimed.fetch_add(1, Ordering::Relaxed);
-                if let Some(rec) = trace {
-                    rec.record(Lane::Reclaim, EventKind::LeaseReclaim, 0, old, key_hash);
-                }
-                true
+    ) {
+        if let Some(old) = self.gate.begin_reclaim(now_ns) {
+            self.object.reset();
+            self.gate.end_reset(old);
+            counters.resets.fetch_add(1, Ordering::Relaxed);
+            counters.reclaimed.fetch_add(1, Ordering::Relaxed);
+            if let Some(rec) = trace {
+                rec.record(Lane::Reclaim, EventKind::LeaseReclaim, 0, old, key_hash);
             }
-            None => false,
         }
     }
 }
@@ -531,11 +539,10 @@ impl Namespace {
 
     /// [`Namespace::with_max_keys`] plus an admission lease: when
     /// `lease` is `Some`, an epoch whose first admission happened more
-    /// than `lease` ago and that was never acked with `RESET` becomes
-    /// eligible for server-side reclamation — via [`Self::reclaim_expired`]
-    /// (the reaper sweep) or lazily when a full epoch turns admission
-    /// away. `None` keeps the namespace clock-free (no lease, nothing
-    /// is ever reclaimed).
+    /// than `lease` ago and that was never acked with `RESET` is retired
+    /// by the key's next arrival, which is then admitted into the fresh
+    /// epoch (see the [module docs](self)). `None` keeps the namespace
+    /// clock-free (no lease, nothing is ever reclaimed).
     ///
     /// # Panics
     ///
@@ -729,36 +736,6 @@ impl Namespace {
         Some(entry.recycle(&shard.counters))
     }
 
-    /// One reclamation sweep: retire every key-epoch whose lease has
-    /// expired (admitted, never acked, past the deadline). Returns the
-    /// number of epochs reclaimed. A no-op (always `0`) when the
-    /// namespace was built without a lease.
-    pub fn reclaim_expired(&self) -> u64 {
-        if self.lease_ns == 0 {
-            return 0;
-        }
-        let now_ns = self.now_ns();
-        let mut reclaimed = 0;
-        for shard in &self.shards {
-            // Collect under the read lock, reclaim outside it: reclaim
-            // quiesces in-flight admissions and must not stall lookups.
-            // The key hash rides along so reclaim events identify keys.
-            let entries: Vec<(u64, Arc<Entry>)> = shard
-                .0
-                .map
-                .read()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (fnv1a(k), Arc::clone(v)))
-                .collect();
-            for (key_hash, entry) in entries {
-                reclaimed +=
-                    entry.reclaim(&shard.0.counters, now_ns, key_hash, self.recorder()) as u64;
-            }
-        }
-        reclaimed
-    }
-
     /// Aggregate counters over every shard — lock-free: a handful of
     /// relaxed atomic loads per shard plus the global key count, so a
     /// `STATS` request never blocks behind (or stalls) the arbitration
@@ -943,26 +920,32 @@ mod tests {
 
     #[test]
     fn expired_lease_reclaims_an_unacked_epoch() {
-        let lease = Duration::from_millis(5);
+        // Long enough that the two back-to-back arrivals at the end
+        // never straddle a lease, even on a loaded host.
+        let lease = Duration::from_millis(100);
         let ns = Namespace::with_lease(Backend::Combined, 1, 2, 16, Some(lease));
         assert_eq!(ns.lease(), Some(lease));
         let mut runner = NativeRunner::new();
-        // A holder wins epoch 0 and then vanishes without a RESET.
+        // A holder wins epoch 0 and then vanishes without a RESET. The
+        // epoch is not full: capacity 2, one admission.
         assert!(ns.acquire(Kind::Tas, b"k", &mut runner).unwrap().won);
-        // Before the lease expires nothing is reclaimed.
-        assert_eq!(ns.reclaim_expired(), 0);
-        std::thread::sleep(lease * 4);
-        assert_eq!(ns.reclaim_expired(), 1);
-        // The key recycled: a fresh arrival wins the NEXT epoch — the
-        // reclaimed epoch's winner is never duplicated.
+        assert_eq!(ns.stats().reclaimed, 0);
+        std::thread::sleep(lease * 2);
+        // The next arrival retires the stranded epoch instead of joining
+        // it, and wins the NEXT epoch — the reclaimed epoch's winner is
+        // never duplicated.
         let a = ns.acquire(Kind::Tas, b"k", &mut runner).unwrap();
-        assert!(a.won);
+        assert!(a.won, "arrival after lease expiry lands in the fresh epoch");
         assert_eq!(a.epoch, 1);
         let stats = ns.stats();
         assert_eq!(stats.reclaimed, 1);
         assert_eq!(stats.resets, 1, "a reclamation is a reset");
-        // Idempotent: nothing else has expired.
-        assert_eq!(ns.reclaim_expired(), 0);
+        // Counted once: epoch 1's lease has not expired, so the next
+        // arrival joins it (and loses) without reclaiming anything.
+        let b = ns.acquire(Kind::Tas, b"k", &mut runner).unwrap();
+        assert!(!b.won);
+        assert_eq!(b.epoch, 1);
+        assert_eq!(ns.stats().reclaimed, 1);
     }
 
     #[test]
@@ -974,7 +957,8 @@ mod tests {
         let mut runner = NativeRunner::new();
         assert!(ns.acquire(Kind::Tas, b"gone", &mut runner).unwrap().won);
         std::thread::sleep(lease * 4);
-        assert_eq!(ns.reclaim_expired(), 1);
+        let a = ns.acquire(Kind::Tas, b"gone", &mut runner).unwrap();
+        assert_eq!((a.won, a.epoch), (true, 1));
         let events = recorder.snapshot();
         let reclaims: Vec<_> = events
             .iter()
@@ -995,10 +979,14 @@ mod tests {
         assert!(ns.acquire(Kind::Tas, b"k", &mut runner).unwrap().won);
         ns.reset(b"k").unwrap();
         // The open epoch has zero admissions: no lease, ever — even a
-        // stale deadline from the retired epoch must not fire.
+        // stale deadline from the retired epoch must not fire when the
+        // next arrival comes long after it.
         std::thread::sleep(lease * 4);
-        assert_eq!(ns.reclaim_expired(), 0);
-        assert_eq!(ns.stats().reclaimed, 0);
+        let a = ns.acquire(Kind::Tas, b"k", &mut runner).unwrap();
+        assert_eq!((a.won, a.epoch), (true, 1));
+        let stats = ns.stats();
+        assert_eq!(stats.reclaimed, 0);
+        assert_eq!(stats.resets, 1, "only the client's ack recycled");
     }
 
     #[test]
@@ -1027,8 +1015,8 @@ mod tests {
         assert!(ns.acquire(Kind::Tas, b"k", &mut runner).unwrap().won);
         assert!(!ns.acquire(Kind::Tas, b"k", &mut runner).unwrap().won);
         std::thread::sleep(lease * 4);
-        // No reaper sweep: plain traffic finds the gate full, reclaims
-        // inline, and is admitted into (and wins) the fresh epoch.
+        // Plain traffic finds the lease expired, reclaims inline, and is
+        // admitted into (and wins) the fresh epoch.
         let a = ns.acquire(Kind::Tas, b"k", &mut runner).unwrap();
         assert!(a.won, "arrival after lease expiry heals the key inline");
         assert_eq!(a.epoch, 1);
@@ -1037,54 +1025,40 @@ mod tests {
 
     #[test]
     fn reclaim_waits_for_in_flight_admissions() {
-        // A reclamation must quiesce exactly like a client reset: spawn
-        // contenders mid-reclaim and verify win accounting stays exact.
+        // A reclamation must quiesce exactly like a client reset: expire
+        // epochs while contenders are mid-protocol and verify win
+        // accounting stays exact.
         let lease = Duration::from_millis(2);
         let threads = 4;
         let rounds = 25u64;
         let ns = Namespace::with_lease(Backend::Combined, 2, threads, 64, Some(lease));
         let ns = &ns;
-        let stop = AtomicU64::new(0);
-        let stop = &stop;
         std::thread::scope(|s| {
-            let reaper = s.spawn(move || {
-                let mut reclaimed = 0;
-                while stop.load(Ordering::Relaxed) == 0 {
-                    reclaimed += ns.reclaim_expired();
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-                // Final sweep once traffic stopped: let the last open
-                // epoch's lease run out so every admitted epoch retires.
-                std::thread::sleep(lease * 4);
-                reclaimed + ns.reclaim_expired()
-            });
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut runner = NativeRunner::new();
-                        for _ in 0..rounds {
-                            // Win or lose, never ack: only the reaper recycles.
-                            let _ = ns.acquire(Kind::Tas, b"leaky", &mut runner).unwrap();
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                    })
-                })
-                .collect();
-            for w in workers {
-                w.join().unwrap();
+            for _ in 0..threads {
+                s.spawn(move || {
+                    let mut runner = NativeRunner::new();
+                    for _ in 0..rounds {
+                        // Win or lose, never ack: only arrivals past the
+                        // lease recycle.
+                        let _ = ns.acquire(Kind::Tas, b"leaky", &mut runner).unwrap();
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                });
             }
-            stop.store(1, Ordering::Relaxed);
-            let reclaimed = reaper.join().unwrap();
-            let stats = ns.stats();
-            // Workers that hit an expired full gate reclaim inline, so
-            // the total can exceed the reaper's own tally.
-            assert!(stats.reclaimed >= reclaimed, "reaper sweeps are counted");
-            assert!(stats.reclaimed > 0, "leaked epochs were reclaimed");
-            assert_eq!(
-                stats.wins, stats.resets,
-                "every retired epoch had exactly one winner"
-            );
-            assert_eq!(stats.ops, threads as u64 * rounds);
         });
+        // Traffic stopped: let the last open epoch's lease run out. One
+        // more arrival retires it, wins the fresh epoch, and acks it, so
+        // every admitted epoch is retired.
+        std::thread::sleep(lease * 4);
+        let mut runner = NativeRunner::new();
+        assert!(ns.acquire(Kind::Tas, b"leaky", &mut runner).unwrap().won);
+        ns.reset(b"leaky").unwrap();
+        let stats = ns.stats();
+        assert!(stats.reclaimed > 0, "leaked epochs were reclaimed");
+        assert_eq!(
+            stats.wins, stats.resets,
+            "every retired epoch had exactly one winner"
+        );
+        assert_eq!(stats.ops, threads as u64 * rounds + 1);
     }
 }

@@ -136,8 +136,9 @@ pub struct SvcStats {
     /// Atomic registers held by all live keyed objects.
     pub registers: u64,
     /// Epochs recycled by the server itself because the lease on an
-    /// admitted-but-never-acked epoch expired (a strict subset of
-    /// `resets`). Zero unless the server was configured with a lease.
+    /// admitted-but-never-acked epoch expired — each by the first
+    /// arrival on its key after expiry (a strict subset of `resets`).
+    /// Zero unless the server was configured with a lease.
     pub reclaimed: u64,
     /// Connections currently being served (the connection answering a
     /// `STATS` request counts itself). Zero when the stats come from an

@@ -19,11 +19,11 @@
 //!   *i* mod `workers`. There is no accept thread and no handoff queue.
 //! * **Workers** own everything per-connection: the nonblocking
 //!   socket, the [`Connection`](crate::Connection) state machine, the
-//!   partial-write carryover cursor, and the read-deadline entry on a
-//!   lazy timer wheel (`wheel.rs`). No locks are held while serving;
-//!   the only cross-thread touchpoints are the listener pass (one
-//!   `epoll_ctl` on the next worker's set) and the shared
-//!   namespace/gauge atomics.
+//!   partial-write carryover cursor, and the last-activity stamp that
+//!   the worker's periodic slab sweep checks read deadlines against.
+//!   No locks are held while serving; the only cross-thread
+//!   touchpoints are the listener pass (one `epoll_ctl` on the next
+//!   worker's set) and the shared namespace/gauge atomics.
 //! * **Shutdown** writes one byte into a `UnixStream` pair whose other
 //!   end sits in every worker's epoll set. Nobody drains it, so it
 //!   stays readable and wakes every worker at once.
@@ -32,8 +32,6 @@
 //! x86_64/aarch64) the `epoll` engine reports itself unsupported and
 //! `ReactorPool::spawn` fails cleanly; the caller keeps the
 //! thread-per-connection engine instead.
-
-pub(crate) mod wheel;
 
 #[cfg(all(
     target_os = "linux",

@@ -1,14 +1,14 @@
 //! The reactor worker: one thread, one epoll set, many connections.
 //!
-//! Each worker owns an epoll instance, a slab of [`ConnSlot`]s indexed
-//! by the epoll token, and an optional [`TimerWheel`] for read
-//! deadlines. Two more tokens sit beside the connections: the
-//! listener, which is in exactly one worker's set at a time and moves
-//! to the next worker's set after each admitted connection, and the
-//! pool's stop socket, which is in every set.
+//! Each worker owns an epoll instance and a slab of [`ConnSlot`]s
+//! indexed by the epoll token. Two more tokens sit beside the
+//! connections: the listener, which is in exactly one worker's set at a
+//! time and moves to the next worker's set after each admitted
+//! connection, and the pool's stop socket, which is in every set.
 //!
 //! The loop body is: wait for readiness → accept (if this worker holds
-//! the listener) and serve ready connections → sweep the timer wheel.
+//! the listener) and serve ready connections → sweep the slab for read
+//! deadlines when the sweep is due.
 //! Serving a readable connection reads until `WouldBlock`
 //! (level-triggered interest makes stopping early safe), feeds every
 //! chunk to the [`Connection`] state machine, then flushes its
@@ -17,6 +17,17 @@
 //! backpressure without threads. Interest is downgraded back to
 //! read-only the moment the buffer drains, so an idle connection costs
 //! nothing but its slot.
+//!
+//! Read deadlines need no per-connection timer. Every read stamps the
+//! slot's `last_activity`, and one `next_sweep` instant per worker says
+//! when to look: the sweep walks the slab once, closes every connection
+//! idle past `last_activity + read_timeout`, and schedules the next
+//! sweep at the earliest remaining deadline, but no sooner than
+//! [`sweep_tick`] after this one. Activity only moves a deadline
+//! later, and a new connection's deadline lies a full timeout out, so
+//! no deadline is ever earlier than the scheduled sweep; a deadline
+//! fires at most one tick (plus the wait's 1 ms rounding) late, and a
+//! worker sweeps at most `timeout / tick` = 32 times per timeout.
 //!
 //! An accept error other than `WouldBlock`/`Interrupted` (EMFILE under
 //! fd exhaustion, say) takes the level-triggered listener out of the
@@ -32,9 +43,10 @@
 //! releases its `max_conns` slot via
 //! [`ConnGauges::disconnected`](crate::ConnGauges::disconnected).
 //!
-//! Steady state allocates nothing: the read chunk, event buffer, wheel
-//! slots, and each connection's decoder and output buffers are all
-//! reused (`tests/alloc_reactor.rs` enforces this end to end).
+//! Steady state allocates nothing: the read chunk, event buffer, slab,
+//! and each connection's decoder and output buffers are all reused, and
+//! a sweep only reads the slab (`tests/alloc_reactor.rs` enforces this
+//! end to end).
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -49,7 +61,6 @@ use rtas_obs::{EventKind, Lane};
 use crate::conn::{ConnObs, ConnStatus, Connection};
 use crate::protocol::{frame_response, Response};
 use crate::reactor::sys::{self, EpollFd};
-use crate::reactor::wheel::TimerWheel;
 use crate::server::{Shared, ACCEPT_BACKOFF};
 
 /// Epoll token of the pool's stop socket.
@@ -159,11 +170,9 @@ struct ConnSlot {
     /// No more ingest — flush what remains, then close. Set by a
     /// framing poison or by EOF with responses still buffered.
     draining: bool,
-    /// Refreshed on every successful read; the wheel checks
-    /// `last_activity + read_timeout` lazily.
+    /// Refreshed on every successful read; the deadline sweep closes
+    /// the connection once `last_activity + read_timeout` has passed.
     last_activity: Instant,
-    /// Generation of this slab index, matched against wheel entries.
-    gen: u32,
 }
 
 /// What the sockets said a connection should do next.
@@ -197,18 +206,22 @@ struct Worker {
     /// sampling gate runs on (per-frame stages sample on the
     /// connection's own frame counter instead).
     serves: u64,
-    wheel: Option<TimerWheel>,
+    /// When the next read-deadline sweep is due: `None` without a read
+    /// timeout, or while the slab held no connection at the last sweep.
+    next_sweep: Option<Instant>,
     slab: Vec<Option<ConnSlot>>,
     /// Free slab indices, reused LIFO.
     free: Vec<usize>,
-    /// Per-index generation, bumped on close to invalidate wheel
-    /// entries pointing at a recycled slot.
-    gens: Vec<u32>,
     chunk: Vec<u8>,
-    /// Scratch for wheel sweeps.
-    due: Vec<(u32, u32)>,
     /// The pre-framed deadline-expiry `ERR`, written best-effort.
     deadline_err: Vec<u8>,
+}
+
+/// The shortest gap between two read-deadline sweeps: `timeout / 32`,
+/// at least 1 ms — what bounds both a deadline's lateness and the
+/// sweeps per timeout.
+fn sweep_tick(timeout: Duration) -> Duration {
+    (timeout / 32).max(Duration::from_millis(1))
 }
 
 /// Epoll interest bits for a connection.
@@ -243,16 +256,12 @@ impl Worker {
             listener,
             accept_resume: None,
             _stop: stop,
-            wheel: shared
-                .read_timeout
-                .map(|t| TimerWheel::new(t, Instant::now())),
             shared,
             serves: 0,
+            next_sweep: None,
             slab: Vec::new(),
             free: Vec::new(),
-            gens: Vec::new(),
             chunk: vec![0u8; READ_CHUNK],
-            due: Vec::new(),
             deadline_err,
         }
     }
@@ -266,11 +275,12 @@ impl Worker {
     fn run(mut self) {
         loop {
             let now = Instant::now();
-            let wheel_due = self.wheel.as_ref().and_then(|w| w.next_timeout(now));
-            let resume_due = self
-                .accept_resume
-                .map(|at| at.saturating_duration_since(now));
-            let timeout_ms = match [wheel_due, resume_due].into_iter().flatten().min() {
+            let timeout_ms = match [self.next_sweep, self.accept_resume]
+                .into_iter()
+                .flatten()
+                .min()
+                .map(|at| at.saturating_duration_since(now))
+            {
                 // Ceil to a whole ms so a deadline 0.3ms out doesn't
                 // busy-spin on zero-timeout waits.
                 Some(d) => i32::try_from(d.as_millis().saturating_add(1)).unwrap_or(i32::MAX),
@@ -558,14 +568,13 @@ impl Worker {
         }
     }
 
-    /// Release a slot: deregister, bump the generation (invalidating
-    /// wheel entries), return the `max_conns` claim, drop the socket.
+    /// Release a slot: deregister, return the `max_conns` claim, drop
+    /// the socket.
     fn close(&mut self, idx: usize) {
         if let Some(slot) = self.slab[idx].take() {
             let _ = self
                 .epoll()
                 .ctl(sys::EPOLL_CTL_DEL, slot.stream.as_raw_fd(), 0, 0);
-            self.gens[idx] = self.gens[idx].wrapping_add(1);
             self.free.push(idx);
             self.shared.gauges.disconnected();
             if let Some(live) = self.shared.metrics.slab_live.get(self.index) {
@@ -588,7 +597,6 @@ impl Worker {
             Some(idx) => idx,
             None => {
                 self.slab.push(None);
-                self.gens.push(0);
                 self.slab.len() - 1
             }
         };
@@ -607,9 +615,10 @@ impl Worker {
             return;
         }
         let now = Instant::now();
-        let gen = self.gens[idx];
-        if let (Some(wheel), Some(timeout)) = (self.wheel.as_mut(), self.shared.read_timeout) {
-            wheel.schedule(idx as u32, gen, now + timeout);
+        if let Some(timeout) = self.shared.read_timeout {
+            // A pending sweep is never later than this connection's
+            // deadline (see the module docs); arm one if none is.
+            self.next_sweep.get_or_insert(now + timeout);
         }
         self.slab[idx] = Some(ConnSlot {
             stream,
@@ -619,66 +628,52 @@ impl Worker {
             want_write: false,
             draining: false,
             last_activity: now,
-            gen,
         });
         if let Some(live) = self.shared.metrics.slab_live.get(self.index) {
             live.add(1);
         }
     }
 
-    /// Surface possibly-due wheel entries and expire the genuinely
-    /// overdue ones with a best-effort `ERR`, exactly like the
-    /// blocking server's read-timeout path.
+    /// When the sweep is due, walk the slab once: expire every
+    /// connection idle past its deadline with a best-effort `ERR`,
+    /// exactly like the blocking server's read-timeout path, and
+    /// schedule the next sweep (see the module docs).
     fn sweep_deadlines(&mut self) {
-        let Some(timeout) = self.shared.read_timeout else {
-            return;
-        };
-        let Some(mut wheel) = self.wheel.take() else {
+        let (Some(timeout), Some(due)) = (self.shared.read_timeout, self.next_sweep) else {
             return;
         };
         let now = Instant::now();
-        self.due.clear();
-        wheel.advance(now, &mut self.due);
-        let surfaced = self.due.len();
-        for at in 0..self.due.len() {
-            let (idx32, gen) = self.due[at];
-            let idx = idx32 as usize;
-            let expired = match self.slab.get_mut(idx).and_then(Option::as_mut) {
-                Some(slot) if slot.gen == gen => {
-                    let deadline = slot.last_activity + timeout;
-                    if now >= deadline {
-                        let _ = slot.stream.write(&self.deadline_err);
-                        true
-                    } else {
-                        // Activity since scheduling: rearm at the real
-                        // deadline (the lazy-wheel contract).
-                        wheel.schedule(idx32, gen, deadline);
-                        false
-                    }
-                }
-                // A stale entry for a closed (and possibly recycled)
-                // slot: drop it.
-                _ => false,
+        if now < due {
+            return;
+        }
+        let (mut scanned, mut closed) = (0u64, 0u32);
+        let mut earliest: Option<Instant> = None;
+        for idx in 0..self.slab.len() {
+            let Some(slot) = self.slab[idx].as_mut() else {
+                continue;
             };
-            if expired {
+            scanned += 1;
+            let deadline = slot.last_activity + timeout;
+            if now >= deadline {
+                let _ = slot.stream.write(&self.deadline_err);
                 self.close(idx);
+                closed += 1;
+            } else {
+                earliest = Some(earliest.map_or(deadline, |at| at.min(deadline)));
             }
         }
-        if let Some(entries) = self.shared.metrics.wheel_entries.get(self.index) {
-            entries.set(wheel.len() as u64);
-        }
-        if surfaced > 0 {
-            // Only sweeps that surfaced work are worth a ring slot —
-            // an every-wakeup heartbeat would evict useful events.
+        self.next_sweep = earliest.map(|at| at.max(now + sweep_tick(timeout)));
+        if closed > 0 {
+            // Only sweeps that closed a connection are worth a ring
+            // slot — an every-sweep heartbeat would evict useful events.
             self.shared.recorder.record(
                 Lane::Worker(self.index),
                 EventKind::TimerSweep,
-                surfaced as u32,
-                wheel.len() as u64,
+                closed,
+                scanned,
                 0,
             );
         }
-        self.wheel = Some(wheel);
     }
 
     /// Shutdown: close every live connection, returning each one's

@@ -18,10 +18,15 @@
 //! (`Shared::admit`), and a connection is a [`Connection`] state
 //! machine — a reusable [`rtas::native::NativeRunner`] plus reusable
 //! frame buffers — so the steady-state request path performs no
-//! allocation beyond the protocol state machines (see
+//! allocation at all, leases and read deadlines included (see
 //! `tests/alloc_steady.rs` and `tests/alloc_reactor.rs`). Requests on
 //! one connection are executed and answered **in order**, which is what
 //! makes client-side pipelining sound.
+//!
+//! Each server timeout has one trigger and no thread of its own: a
+//! lease is checked by the key's next arrival (see
+//! [`Namespace::with_lease`]), and a read deadline by the socket read
+//! timeout (threads engine) or the worker's slab sweep (reactor).
 //!
 //! I/O is bulk: one large `read` ingests a whole pipelined burst, the
 //! [`Connection`] decodes and executes every complete frame in it, and
@@ -73,15 +78,18 @@ pub struct SvcConfig {
     /// (see [`Namespace::with_max_keys`]).
     pub max_keys: usize,
     /// Admission lease: when `Some`, an epoch whose holder never acks
-    /// `RESET` is reclaimed by the server once the lease expires (see
-    /// [`Namespace::with_lease`]); a reaper thread sweeps expired
-    /// epochs at a quarter of the lease period. `None` (the default)
-    /// disables reclamation entirely.
+    /// `RESET` is retired by the first arrival on its key after the
+    /// lease expires, and that arrival is admitted into the fresh epoch
+    /// (see [`Namespace::with_lease`]). `None` (the default) disables
+    /// reclamation entirely.
     pub lease: Option<Duration>,
     /// Per-connection read deadline: a connection idle (or stalled
     /// mid-frame) past this duration is answered with a best-effort
     /// `ERR` and closed, so a stalled client cannot pin a handler
-    /// thread forever. `None` (the default) waits indefinitely.
+    /// thread or a slab slot forever. The reactor checks deadlines in
+    /// sweeps over a worker's slab, at most one per `timeout / 32` (at
+    /// least 1 ms), so a deadline fires at most about that late. `None`
+    /// (the default) waits indefinitely.
     pub read_timeout: Option<Duration>,
     /// Ceiling on concurrently served connections — the memory bound
     /// for the `epoll` engine and the thread bound for the threads
@@ -118,9 +126,10 @@ pub fn default_workers() -> usize {
         .min(DEFAULT_MAX_WORKERS)
 }
 
-/// Default [`SvcConfig::max_conns`]: far above any load the
-/// thread-per-connection server is meant for, low enough that an
-/// accept storm cannot exhaust process threads or memory.
+/// Default [`SvcConfig::max_conns`]: far above any load the threads
+/// engine is meant for, low enough that an accept storm cannot exhaust
+/// process threads or memory. Under the reactor it also bounds a
+/// worker's slab, and with it the length of one read-deadline sweep.
 pub const DEFAULT_MAX_CONNS: usize = 1024;
 
 impl Default for SvcConfig {
@@ -217,7 +226,6 @@ pub struct Server {
     shared: Shared,
     stop: Arc<AtomicBool>,
     serving: Serving,
-    reaper: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -264,27 +272,11 @@ impl Server {
                 }))
             }
         };
-        // The reaper: sweep expired leases at a quarter of the lease
-        // period (bounded to stay responsive to shutdown without
-        // spinning), so a vanished holder wedges a key for at most
-        // ~1.25 leases even with zero traffic on it.
-        let reaper = config.lease.map(|lease| {
-            let namespace = Arc::clone(&shared.namespace);
-            let stop = Arc::clone(&stop);
-            let period = (lease / 4).clamp(Duration::from_millis(1), Duration::from_millis(250));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    namespace.reclaim_expired();
-                    std::thread::sleep(period);
-                }
-            })
-        });
         Ok(Server {
             addr,
             shared,
             stop,
             serving,
-            reaper,
         })
     }
 
@@ -338,9 +330,6 @@ impl Server {
                 let _ = TcpStream::connect(self.addr);
                 let _ = accepter.join();
             }
-        }
-        if let Some(reaper) = self.reaper {
-            let _ = reaper.join();
         }
     }
 

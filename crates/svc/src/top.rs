@@ -5,7 +5,7 @@
 //! exposition does not carry: per-second **rates** for the cumulative
 //! counters (ops, wins, resets, reclaims, refusals, reactor wake
 //! writes, carryovers), instantaneous gauges (connections, keys,
-//! per-worker slab and timer-wheel occupancy, per-lane trace drops),
+//! per-worker slab occupancy, per-lane trace drops),
 //! and one sparkline per pipeline stage scaled against the slowest
 //! stage so a hot stage is visible at a glance.
 //!
@@ -154,19 +154,12 @@ pub fn render_top(addr: &str, prev: Option<&TopSample>, cur: &TopSample) -> Stri
         gauge("svc.registers"),
     );
 
-    // Per-worker reactor gauges, for as many workers as expose them.
+    // Per-worker reactor gauge, for as many workers as expose it.
     for k in 0..usize::MAX {
-        let slab = value(&cur.pairs, &format!("reactor.worker{k}.slab_live"));
-        let wheel = value(&cur.pairs, &format!("reactor.worker{k}.wheel_entries"));
-        if slab.is_none() && wheel.is_none() {
+        let Some(slab) = value(&cur.pairs, &format!("reactor.worker{k}.slab_live")) else {
             break;
-        }
-        let _ = writeln!(
-            out,
-            "  worker{k}: slab_live {}   wheel_entries {}",
-            slab.map_or_else(|| "?".into(), fmt_num),
-            wheel.map_or_else(|| "?".into(), fmt_num),
-        );
+        };
+        let _ = writeln!(out, "  worker{k}: slab_live {}", fmt_num(slab));
     }
 
     // Stage latency panel: p50 sparkline across stages (scaled to the
@@ -306,7 +299,6 @@ mod tests {
             ("svc.keys", 9.0),
             ("svc.registers", 100.0),
             ("reactor.worker0.slab_live", 2.0),
-            ("reactor.worker0.wheel_entries", 1.0),
             ("stage.read_ns.count", 10.0),
             ("stage.read_ns.p50", 800.0),
             ("stage.read_ns.p90", 2_000.0),

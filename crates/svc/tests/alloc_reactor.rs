@@ -1,18 +1,16 @@
-//! Allocation accounting for the reactor's steady-state serve path.
+//! Allocation pin for both engines' steady-state serve path, with an
+//! admission lease and a read deadline armed.
 //!
-//! The underlying arbitration objects allocate per operation (every
-//! `try_acquire` boxes the protocol state machines it runs) and never
-//! on reset, so "zero allocations" cannot mean a literally silent
-//! profile. The claim — mirroring
-//! `alloc_steady.rs`, which proves the namespace adds zero allocations
-//! over the bare object — is **differential**: the reactor engine's
-//! event loop (epoll wait, slab slots, reused event/chunk/due scratch,
-//! write carryover) must add *zero* allocations per operation over the
-//! thread-per-connection engine serving identical traffic. Both engines
-//! drive the same `Connection` state machines over the same keys and
-//! epoch counts, and the backends' per-(slot, epoch) coin streams are
-//! deterministic, so the two allocation counts are comparable exactly,
-//! not just bounded.
+//! The claim is **absolute**: once warmup has faulted in every key,
+//! slab slot, connection buffer and scratch vector, serving traffic
+//! allocates nothing — on the reactor (epoll wait, slab slots, reused
+//! event and chunk buffers, write carryover, the read-deadline sweep)
+//! and on the thread-per-connection engine alike. The keyed objects
+//! allocate nothing per operation or per reset (`alloc_steady.rs`), a
+//! lease is checked at admission against the namespace clock, and a
+//! read deadline is a timestamp per connection, so neither timeout
+//! may add an allocation either. Client and server share this process,
+//! so the count covers both ends of the wire.
 //!
 //! Everything runs in ONE test function: the default test harness runs
 //! `#[test]` functions concurrently, and a second thread would pollute
@@ -20,6 +18,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use rtas_svc::{Client, Engine, Op, Response, Server, SvcConfig};
 
@@ -67,15 +66,18 @@ fn batched_round(client: &mut Client, key: &[u8]) {
     }
 }
 
-/// Spawn a server on `engine`, drive the canonical traffic shape
-/// (6 connections, each alternating lockstep and pipelined rounds on
-/// its own key), and return the allocation count over the measured
-/// window. Warmup faults in every key, slab slot, connection buffer,
-/// and scratch vector on both sides of the wire before counting.
+/// Spawn a server on `engine` with a 20 ms lease and a 5 s read
+/// deadline, drive the canonical traffic shape (6 connections, each
+/// alternating lockstep and pipelined rounds on its own key), and
+/// return the allocation count over the measured window. Warmup faults
+/// in every key, slab slot, connection buffer, and scratch vector on
+/// both sides of the wire before counting.
 fn drive(engine: Engine) -> u64 {
     let server = Server::spawn(SvcConfig {
         engine,
         workers: 2,
+        lease: Some(Duration::from_millis(20)),
+        read_timeout: Some(Duration::from_secs(5)),
         ..SvcConfig::default()
     })
     .expect("spawn server");
@@ -115,19 +117,19 @@ fn drive(engine: Engine) -> u64 {
 }
 
 #[test]
-fn reactor_engine_adds_zero_allocations_over_the_threads_engine() {
+fn both_engines_serve_leased_deadlined_traffic_with_zero_allocations() {
+    let threads = drive(Engine::Threads);
+    assert_eq!(
+        threads, 0,
+        "the threads engine allocated {threads} times in steady state"
+    );
     if !Engine::Epoll.supported() {
-        eprintln!("skipping: reactor syscall shim unavailable on this target");
+        eprintln!("skipping the epoll engine: reactor syscall shim unavailable on this target");
         return;
     }
-    // Threads engine first: its measured window sets the budget the
-    // reactor must match exactly on the identical traffic shape.
-    let threads = drive(Engine::Threads);
     let epoll = drive(Engine::Epoll);
     assert_eq!(
-        epoll, threads,
-        "the reactor allocated {epoll} times where the threads engine \
-         allocated {threads}: the event loop's steady state is not \
-         allocation-free"
+        epoll, 0,
+        "the reactor allocated {epoll} times in steady state"
     );
 }

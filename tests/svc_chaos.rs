@@ -200,9 +200,9 @@ fn drop_heavy_cell_survives_severed_and_torn_connections() {
 fn stalled_holders_are_reclaimed_by_the_lease() {
     // Every winner stalls holding its slot for far longer than the
     // lease, and half the resolution acks are byzantinely skipped: the
-    // server's reaper must reclaim expired epochs (counting them as
-    // losses) and the run must stay live — with still at most one
-    // winner per server epoch.
+    // first arrival on an expired key-epoch must reclaim it (counting
+    // it as a loss) and the run must stay live — with still at most
+    // one winner per server epoch.
     let chaos = ChaosSpec::parse("stall=1.0,stall-ms=10,skip-reset=0.5").unwrap();
     let srv = hostile_server(2);
     let addr = srv.addr().to_string();
