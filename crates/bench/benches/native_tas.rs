@@ -43,7 +43,6 @@ fn bench_backend(micro: &Micro, backend: Backend, threads: usize) {
         seed: 0,
         churn: None,
         warmup: Warmup::None,
-        pipeline: 1,
         conns: None,
     };
     micro.bench(

@@ -22,14 +22,11 @@
 //!                     before the measured section
 //!   --warmup-secs <s> open loop: execute but do not record arrivals
 //!                     scheduled in the first s seconds
-//!   --pipeline <d>    remote backend only: keep d epochs in flight per
-//!                     worker connection (requires threads == shards;
-//!                     incompatible with --chaos)          (default 1)
 //!   --conns <n>       remote backend only: hold n total connections open
 //!                     across the worker fleet, round-robining operations
 //!                     over them (the C10K posture; requires n to be a
-//!                     multiple of threads, incompatible with --pipeline
-//!                     and --chaos); reports as svc_c10k
+//!                     multiple of threads, incompatible with --chaos);
+//!                     reports as svc_c10k
 //!   --slo-p50 <us>    fail (exit 1) if overall p50 exceeds this
 //!   --slo-p99 <us>    fail (exit 1) if overall p99 exceeds this
 //!   --chaos <spec>    remote backend only: inject deterministic faults —
@@ -38,7 +35,7 @@
 //!                     skip-reset, dup-reset, ...); reports as svc_chaos
 //!   --chaos-seed <x>  fault-schedule seed                     (default 42)
 //!   --trace <m>       remote backend only: client-side flight recorder —
-//!                     on | off | sampled:<n>; every lockstep request then
+//!                     on | off | sampled:<n>; every request then
 //!                     carries a wire trace span the server echoes, and the
 //!                     client dump pairs with the server's via rtas-trace
 //!                     merge (see docs/WIRE.md)               (default off)
@@ -73,10 +70,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: rtas-load [--backend b] [--addr host:port] [--threads n] \
          [--shards n] [--mode closed|open] [--ops n] [--rate r] [--duration s] \
-         [--seed x] [--churn k] [--warmup n] [--warmup-secs s] [--pipeline d] \
-         [--conns n] [--slo-p50 us] [--slo-p99 us] [--chaos spec] \
-         [--chaos-seed x] [--trace on|off|sampled:n] [--trace-out file] \
-         [--no-json]"
+         [--seed x] [--churn k] [--warmup n] [--warmup-secs s] [--conns n] \
+         [--slo-p50 us] [--slo-p99 us] [--chaos spec] [--chaos-seed x] \
+         [--trace on|off|sampled:n] [--trace-out file] [--no-json]"
     );
     std::process::exit(2);
 }
@@ -98,7 +94,6 @@ fn main() -> ExitCode {
     let mut churn: Option<u64> = None;
     let mut warmup_ops: Option<u64> = None;
     let mut warmup_secs: Option<f64> = None;
-    let mut pipeline = 1usize;
     let mut conns: Option<usize> = None;
     let mut slo = Slo::default();
     let mut no_json = false;
@@ -147,7 +142,6 @@ fn main() -> ExitCode {
             "--churn" => churn = Some(parsed("--churn", value("--churn"))),
             "--warmup" => warmup_ops = Some(parsed("--warmup", value("--warmup"))),
             "--warmup-secs" => warmup_secs = Some(parsed("--warmup-secs", value("--warmup-secs"))),
-            "--pipeline" => pipeline = parsed("--pipeline", value("--pipeline")),
             "--conns" => conns = Some(parsed("--conns", value("--conns"))),
             "--slo-p50" => slo.p50_us = Some(parsed("--slo-p50", value("--slo-p50"))),
             "--slo-p99" => slo.p99_us = Some(parsed("--slo-p99", value("--slo-p99"))),
@@ -216,35 +210,9 @@ fn main() -> ExitCode {
         eprintln!("error: --addr only applies to --backend remote");
         usage();
     }
-    if pipeline == 0 {
-        eprintln!("error: --pipeline must be at least 1");
-        usage();
-    }
-    if pipeline > 1 {
-        if !remote {
-            eprintln!("error: --pipeline only applies to --backend remote");
-            usage();
-        }
-        if chaos.is_some() {
-            eprintln!("error: --pipeline is incompatible with --chaos (lockstep only)");
-            usage();
-        }
-        if threads != shards {
-            eprintln!(
-                "error: --pipeline {pipeline} requires threads == shards \
-                 (got {threads} threads over {shards} shards): a worker keeping \
-                 epochs in flight must be its shard's sole participant"
-            );
-            usage();
-        }
-    }
     if let Some(c) = conns {
         if !remote {
             eprintln!("error: --conns only applies to --backend remote");
-            usage();
-        }
-        if pipeline > 1 {
-            eprintln!("error: --conns is incompatible with --pipeline (the pipeline window is per-connection)");
             usage();
         }
         if chaos.is_some() {
@@ -298,7 +266,6 @@ fn main() -> ExitCode {
         seed,
         churn,
         warmup,
-        pipeline,
         conns,
     };
     let backend_name = if remote {
@@ -308,17 +275,12 @@ fn main() -> ExitCode {
     };
     println!(
         "rtas-load: backend={backend_name}{} mode={} threads={threads} shards={shards} \
-         group={} seed={seed}{}{}{}{}",
+         group={} seed={seed}{}{}{}",
         addr.as_deref()
             .map(|a| format!(" addr={a}"))
             .unwrap_or_default(),
         mode.label(),
         spec.group(),
-        if pipeline > 1 {
-            format!(" pipeline={pipeline}")
-        } else {
-            String::new()
-        },
         churn.map(|c| format!(" churn={c}")).unwrap_or_default(),
         conns.map(|c| format!(" conns={c}")).unwrap_or_default(),
         match warmup {

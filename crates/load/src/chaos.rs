@@ -335,12 +335,6 @@ pub fn run_load_chaos_traced(
     recorder: Option<Arc<FlightRecorder>>,
 ) -> Result<ChaosOutcome, ClientError> {
     spec.validate();
-    assert!(
-        spec.pipeline == 1,
-        "chaos runs require pipeline depth 1: the fault plan's draw order is \
-         defined over lockstep round trips, and retry/reconnect recovery \
-         cannot replay a window of blind in-flight epochs"
-    );
     let config = ClientConfig::default();
     let mut target = ChaosTarget::new(addr, spec.shards, spec.group(), plan, config.clone())?;
     if let Some(recorder) = recorder {

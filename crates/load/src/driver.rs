@@ -223,22 +223,12 @@ pub struct LoadSpec {
     pub churn: Option<u64>,
     /// Unrecorded warmup preceding the measured section.
     pub warmup: Warmup,
-    /// Client pipelining depth against a remote target: how many
-    /// resolutions a worker keeps in flight on its connection before
-    /// draining the oldest. `1` (the default everywhere) is the
-    /// classic request/response lockstep. Depths above 1 require
-    /// `threads == shards` — each worker must be its shard's sole
-    /// participant so in-flight epochs cannot depend on peers' replies
-    /// (see [`crate::remote`]). Native targets ignore the depth (there
-    /// is no wire to pipeline on).
-    pub pipeline: usize,
     /// Remote targets only: hold this many **total** connections open
     /// across the worker fleet (the C10K posture). Each worker owns
     /// `conns / threads` connections and round-robins its operations
     /// across them, so every connection stays live for the whole run
     /// while the thread count stays small. Must be a multiple of
-    /// `threads` and requires `pipeline == 1` (the window bookkeeping
-    /// is per-connection). `None` (the default) keeps the classic one
+    /// `threads`. `None` (the default) keeps the classic one
     /// connection per worker.
     pub conns: Option<usize>,
 }
@@ -259,7 +249,6 @@ impl LoadSpec {
             self.threads,
             self.shards
         );
-        assert!(self.pipeline >= 1, "pipeline depth must be at least 1");
         if let Some(conns) = self.conns {
             assert!(
                 conns >= self.threads && conns % self.threads == 0,
@@ -267,22 +256,7 @@ impl LoadSpec {
                  every worker owns the same share of the fan-out",
                 self.threads
             );
-            assert!(
-                self.pipeline == 1,
-                "conns is a lockstep axis (the pipeline window bookkeeping is \
-                 per-connection); got pipeline depth {}",
-                self.pipeline
-            );
         }
-        assert!(
-            self.pipeline == 1 || self.group() == 1,
-            "pipeline depth {} requires threads == shards (got {} threads over {} \
-             shards): a worker keeping epochs in flight must be its shard's sole \
-             participant",
-            self.pipeline,
-            self.threads,
-            self.shards
-        );
         match self.mode {
             Mode::Open { duration_secs, .. } => {
                 assert!(
@@ -390,7 +364,6 @@ impl LoadOutcome {
     pub fn bench_report(&self) -> BenchReport {
         let backend = self.backend_name();
         let mode = self.spec.mode.label();
-        let pipeline = self.spec.pipeline.to_string();
         // The fan-out width labels every row — but only when the axis
         // is in play, so classic reports keep their row identity.
         let conns = self.spec.conns.map(|c| c.to_string());
@@ -413,8 +386,7 @@ impl LoadOutcome {
                     .with_label("backend", backend)
                     .with_label("mode", mode)
                     .with_label("scope", "shard")
-                    .with_label("gate", "wall")
-                    .with_label("pipeline", &pipeline),
+                    .with_label("gate", "wall"),
             ));
         }
         let mut total = fan_out(
@@ -450,8 +422,7 @@ impl LoadOutcome {
             .with_label("backend", backend)
             .with_label("mode", mode)
             .with_label("scope", "total")
-            .with_label("gate", "wall")
-            .with_label("pipeline", &pipeline),
+            .with_label("gate", "wall"),
         );
         // Server-side observability extras, when a remote run scraped
         // them: same gate=wall structural treatment as the err_*
@@ -845,7 +816,6 @@ mod tests {
             seed: 1,
             churn: None,
             warmup: Warmup::None,
-            pipeline: 1,
             conns: None,
         }
     }
@@ -903,7 +873,6 @@ mod tests {
             seed: 9,
             churn: None,
             warmup: Warmup::Secs(0.02),
-            pipeline: 1,
             conns: None,
         };
         let mut expected = ArrivalSchedule::poisson(40_000.0, 0.05, 9);
@@ -948,7 +917,6 @@ mod tests {
             seed: 9,
             churn: None,
             warmup: Warmup::None,
-            pipeline: 1,
             conns: None,
         };
         let mut expected = ArrivalSchedule::poisson(40_000.0, 0.05, 9);
@@ -967,11 +935,6 @@ mod tests {
         let total = report.rows().last().unwrap();
         assert!(total.labels.contains(&("scope".into(), "total".into())));
         assert!(total.labels.contains(&("gate".into(), "wall".into())));
-        // Pipelining depth is row identity: baselines taken at depth 1
-        // never silently compare against pipelined runs.
-        for row in report.rows() {
-            assert!(row.labels.contains(&("pipeline".into(), "1".into())));
-        }
         assert_eq!(total.trials, 100);
         // Error classes ride the total row — zero on a clean network,
         // but always present so degraded runs diff structurally.
@@ -1022,7 +985,6 @@ mod tests {
             seed: 1,
             churn: None,
             warmup: Warmup::None,
-            pipeline: 1,
             conns: None,
         });
         assert_eq!(out.total_ops(), 0);
@@ -1044,35 +1006,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pipeline depth must be at least 1")]
-    fn zero_pipeline_rejected() {
-        let mut spec = closed_spec(2, 1, 10);
-        spec.pipeline = 0;
-        run_load(spec);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires threads == shards")]
-    fn pipelining_with_peer_groups_rejected() {
-        let mut spec = closed_spec(4, 2, 10);
-        spec.pipeline = 4;
-        run_load(spec);
-    }
-
-    #[test]
     #[should_panic(expected = "positive multiple of threads")]
     fn conns_must_divide_evenly_across_workers() {
         let mut spec = closed_spec(4, 2, 10);
         spec.conns = Some(6); // 6 % 4 != 0
-        spec.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "lockstep axis")]
-    fn conns_with_pipelining_rejected() {
-        let mut spec = closed_spec(2, 2, 10);
-        spec.pipeline = 2;
-        spec.conns = Some(4);
         spec.validate();
     }
 

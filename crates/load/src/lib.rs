@@ -51,7 +51,6 @@
 //!     seed: 7,
 //!     churn: None,
 //!     warmup: Warmup::None,
-//!     pipeline: 1,
 //!     conns: None,
 //! });
 //! assert_eq!(out.total_wins(), out.resolutions()); // one winner per epoch

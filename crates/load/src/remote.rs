@@ -11,30 +11,16 @@
 //! epoch gate admits and recycles), so exactly one winner per
 //! key-epoch holds end to end, asserted by the driver's win accounting.
 //!
-//! ## Pipelining
-//!
-//! At [`LoadSpec::pipeline`] depth `d > 1` a worker keeps up to `d`
-//! epochs in flight on its connection: each resolve ships the epoch's
-//! `TAS` **and** its `RESET` ack as one two-frame batch (a single
-//! `write` syscall — the server answers frames in order, so the ack is
-//! sound the moment the verdict is), advances the local epoch
-//! immediately, and only blocks to drain the *oldest* in-flight epoch's
-//! two responses once the window is full. Depth `d > 1` requires
-//! `threads == shards` (each worker the sole participant of its shard
-//! key — enforced by [`LoadSpec::validate`]): a sole participant's
-//! verdict is always a win and never depends on a peer's reply, so
-//! blind batching cannot deadlock. The drain still checks every
-//! deferred verdict — a lost epoch or failed ack panics the worker, so
-//! the one-winner accounting stays airtight. Depth 1 is the classic
-//! lockstep round trip, unchanged.
+//! Every resolution is a lockstep round trip, timed from send to
+//! decoded response. Pipelined bursts are perfbench's `pipelined`
+//! workload, not this harness's.
 //!
 //! Because the open-loop [`ArrivalSchedule`] is a pure function of the
 //! seed, the *offered* load is bit-identical run to run here too — the
 //! service sees the same request instants whatever the network does —
 //! and end-to-end latency is still measured from the scheduled instant
 //! (queueing included, no coordinated omission). Reports are emitted as
-//! `BENCH_svc_load.json` (rows labeled `backend=remote`, `gate=wall`,
-//! `pipeline=<depth>`).
+//! `BENCH_svc_load.json` (rows labeled `backend=remote`, `gate=wall`).
 //!
 //! ## Connection fan-out (C10K)
 //!
@@ -48,21 +34,16 @@
 //! ## End-to-end tracing
 //!
 //! With a recorder attached ([`RemoteTarget::with_recorder`], the
-//! `rtas-load --trace` flag) every lockstep resolution carries a wire
-//! trace span (`docs/WIRE.md`) and records a `ClientSpan` event; the
-//! server records the matching `ServerSpan`, and `rtas-trace merge`
-//! joins the two dumps into per-request network/server/queue latency
-//! breakdowns. The pipelined path stays untraced by design — blind
-//! batches defer their responses, so there is no per-frame completion
-//! point to time. Support is negotiated with a traced `STATS` probe;
-//! old servers get plain untraced traffic.
+//! `rtas-load --trace` flag) every resolution carries a wire trace span
+//! (`docs/WIRE.md`) and records a `ClientSpan` event; the server
+//! records the matching `ServerSpan`, and `rtas-trace merge` joins the
+//! two dumps into per-request network/server/queue latency breakdowns.
+//! Support is negotiated with a traced `STATS` probe; old servers get
+//! plain untraced traffic.
 //!
 //! [`ArrivalSchedule`]: crate::schedule::ArrivalSchedule
-//! [`LoadSpec::pipeline`]: crate::driver::LoadSpec::pipeline
 //! [`LoadSpec::conns`]: crate::driver::LoadSpec::conns
-//! [`LoadSpec::validate`]: crate::driver::LoadSpec
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -92,13 +73,12 @@ pub struct RemoteTarget {
     keys: Vec<Vec<u8>>,
     states: Vec<CachePadded<KeyState>>,
     group: usize,
-    pipeline: usize,
     /// Connections each worker holds open and round-robins across
     /// (the C10K fan-out; 1 is the classic one-connection worker).
     conns_per_worker: usize,
     registers: u64,
     /// Client-side flight recorder ([`RemoteTarget::with_recorder`]):
-    /// when set, lockstep resolutions carry wire trace spans and record
+    /// when set, resolutions carry wire trace spans and record
     /// `ClientSpan` events onto the context's worker lane.
     recorder: Option<Arc<FlightRecorder>>,
     /// Next worker-context index, handed out in `context()` call order
@@ -108,24 +88,16 @@ pub struct RemoteTarget {
     next_ctx: AtomicUsize,
 }
 
-/// Per-worker connections plus the pipeline window: shard indices of
-/// epochs whose `(TAS, RESET)` response pairs are still in flight, in
-/// send order (the server answers in order, so the front of the queue
-/// is always the next pair on the wire).
-///
-/// Under a connection fan-out ([`LoadSpec::conns`]) a worker owns many
-/// clients and round-robins resolutions across them so every
-/// connection stays live; pipelining (which is per-connection
-/// bookkeeping) is restricted to the single-client shape by
-/// `LoadSpec::validate`.
+/// Per-worker connections. Under a connection fan-out
+/// ([`LoadSpec::conns`]) a worker owns many clients and round-robins
+/// resolutions across them so every connection stays live.
 #[derive(Debug)]
 pub struct RemoteCtx {
     clients: Vec<Client>,
     /// Next client in the round-robin.
     next: usize,
-    inflight: VecDeque<usize>,
     /// Span minting + `ClientSpan` recording for this worker's traffic
-    /// (lockstep path only; `None` when the target has no recorder).
+    /// (`None` when the target has no recorder).
     tracer: Option<ClientTracer>,
 }
 
@@ -146,58 +118,11 @@ impl RemoteCtx {
         }
         Ok(response)
     }
-
-    /// Block for the oldest in-flight epoch's two responses and check
-    /// them: the deferred verdict must be a win (the worker is its
-    /// shard's sole participant) and the ack must be a reset ack.
-    fn drain_one(&mut self) {
-        let shard = self
-            .inflight
-            .pop_front()
-            .expect("drain_one called with an empty pipeline window");
-        // Pipelining implies the single-client shape (validate()), so
-        // the window always belongs to clients[0].
-        let client = &mut self.clients[0];
-        let peer = client.peer();
-        match client.recv() {
-            Ok(Response::Acquired(a)) => assert!(
-                a.won,
-                "pipelined TAS on shard {shard} via {peer} lost its epoch \
-                 despite being the sole participant"
-            ),
-            Ok(other) => panic!(
-                "pipelined TAS on shard {shard} via {peer}: expected a verdict, got {other:?}"
-            ),
-            Err(e) => panic!("pipelined TAS on shard {shard} via {peer} failed: {e}"),
-        }
-        match client.recv() {
-            Ok(Response::Reset { .. }) => {}
-            Ok(other) => panic!(
-                "pipelined RESET on shard {shard} via {peer}: expected an ack, got {other:?}"
-            ),
-            Err(e) => panic!("pipelined RESET on shard {shard} via {peer} failed: {e}"),
-        }
-    }
-}
-
-impl Drop for RemoteCtx {
-    fn drop(&mut self) {
-        // A worker life ends with its window drained, so every epoch it
-        // opened is verified and the server's gates are quiescent for
-        // the next life. Never on the unwind path though: the stream
-        // may be desynchronized, and a drain panic would abort.
-        if std::thread::panicking() {
-            return;
-        }
-        while !self.inflight.is_empty() {
-            self.drain_one();
-        }
-    }
 }
 
 impl RemoteTarget {
     /// Bind `shards` keys on the server at `addr`, each resolved by
-    /// `group` participants per epoch, in lockstep (pipeline depth 1).
+    /// `group` participants per epoch, one connection per worker.
     ///
     /// Connects once to probe reachability and to put every key into a
     /// known-fresh epoch (`TAS` to materialize it, `RESET` to recycle —
@@ -210,23 +135,7 @@ impl RemoteTarget {
     ///
     /// Panics if `shards == 0` or `group == 0`.
     pub fn new(addr: &str, shards: usize, group: usize) -> Result<RemoteTarget, ClientError> {
-        Self::with_pipeline(addr, shards, group, 1)
-    }
-
-    /// [`RemoteTarget::new`] with an explicit pipeline depth (see the
-    /// [module docs](self)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`, `group == 0`, `pipeline == 0`, or
-    /// `pipeline > 1 && group > 1`.
-    pub fn with_pipeline(
-        addr: &str,
-        shards: usize,
-        group: usize,
-        pipeline: usize,
-    ) -> Result<RemoteTarget, ClientError> {
-        Self::with_shape(addr, shards, group, pipeline, 1)
+        Self::with_shape(addr, shards, group, 1)
     }
 
     /// [`RemoteTarget::new`] with an explicit per-worker connection
@@ -236,30 +145,19 @@ impl RemoteTarget {
     ///
     /// # Panics
     ///
-    /// Panics on the [`RemoteTarget::with_pipeline`] conditions, if
-    /// `conns_per_worker == 0`, or if `conns_per_worker > 1 &&
-    /// pipeline > 1` (the pipeline window is per-connection).
+    /// Panics if `shards == 0`, `group == 0`, or
+    /// `conns_per_worker == 0`.
     pub fn with_shape(
         addr: &str,
         shards: usize,
         group: usize,
-        pipeline: usize,
         conns_per_worker: usize,
     ) -> Result<RemoteTarget, ClientError> {
         assert!(shards >= 1, "remote target needs at least one shard key");
         assert!(group >= 1, "remote target needs at least one participant");
-        assert!(pipeline >= 1, "pipeline depth must be at least 1");
-        assert!(
-            pipeline == 1 || group == 1,
-            "pipeline depth {pipeline} requires a group of 1 (got {group})"
-        );
         assert!(
             conns_per_worker >= 1,
             "each worker needs at least one connection"
-        );
-        assert!(
-            conns_per_worker == 1 || pipeline == 1,
-            "a connection fan-out requires pipeline depth 1 (got {pipeline})"
         );
         let mut probe = Client::connect(addr)?;
         let keys: Vec<Vec<u8>> = (0..shards)
@@ -282,7 +180,6 @@ impl RemoteTarget {
                 .collect(),
             keys,
             group,
-            pipeline,
             conns_per_worker,
             registers,
             recorder: None,
@@ -290,18 +187,16 @@ impl RemoteTarget {
         })
     }
 
-    /// Attach a client-side flight recorder: every lockstep resolution
-    /// is sent with a fresh wire trace span (`docs/WIRE.md`) and lands
-    /// a `ClientSpan` event on the worker's lane, pairable with the
+    /// Attach a client-side flight recorder: every resolution is sent
+    /// with a fresh wire trace span (`docs/WIRE.md`) and lands a
+    /// `ClientSpan` event on the worker's lane, pairable with the
     /// server's dump by `rtas-trace merge`.
     ///
     /// Negotiates first: a traced probe (`Client::probe_trace`) tells a
     /// new server from an old one over a healthy connection. Old
-    /// servers — and pipelined targets, whose blind batches are
-    /// deliberately untraced (the window bookkeeping has no per-frame
-    /// completion point to time) — keep the recorder detached, with a
-    /// warning on stderr rather than an error: tracing is additive
-    /// observability, never a reason to refuse load.
+    /// servers keep the recorder detached, with a warning on stderr
+    /// rather than an error: tracing is additive observability, never a
+    /// reason to refuse load.
     ///
     /// # Errors
     ///
@@ -310,13 +205,6 @@ impl RemoteTarget {
         mut self,
         recorder: Arc<FlightRecorder>,
     ) -> Result<RemoteTarget, ClientError> {
-        if self.pipeline > 1 {
-            eprintln!(
-                "rtas-load: warning: the pipelined path is untraced (blind \
-                 batches have no per-frame completion point); tracing disabled"
-            );
-            return Ok(self);
-        }
         if !Client::connect(&self.addr)?.probe_trace()? {
             eprintln!(
                 "rtas-load: warning: {} does not speak the wire trace \
@@ -332,11 +220,6 @@ impl RemoteTarget {
     /// The server address the target drives.
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    /// The pipeline depth every worker connection runs at.
-    pub fn pipeline(&self) -> usize {
-        self.pipeline
     }
 }
 
@@ -369,7 +252,6 @@ impl LoadTarget for RemoteTarget {
         RemoteCtx {
             clients,
             next: 0,
-            inflight: VecDeque::with_capacity(self.pipeline),
             tracer: self
                 .recorder
                 .as_ref()
@@ -380,9 +262,7 @@ impl LoadTarget for RemoteTarget {
     fn resolve(&self, ctx: &mut RemoteCtx, shard: usize, epoch: u64) -> bool {
         let state = &self.states[shard].0;
         // Wait for our epoch — same spin-then-yield discipline as the
-        // in-process arena. (At pipeline depths above 1 the worker is
-        // the shard's sole participant and opened the epoch itself, so
-        // this check passes immediately.)
+        // in-process arena.
         let mut backoff = Backoff::new();
         loop {
             let current = state.epoch.load(Ordering::Acquire);
@@ -402,23 +282,6 @@ impl LoadTarget for RemoteTarget {
         // connection takes its turn so all of them stay live.
         let at = ctx.next;
         ctx.next = (ctx.next + 1) % ctx.clients.len();
-        if self.pipeline > 1 {
-            // Sole participant: ship the epoch's TAS and its RESET ack
-            // as one two-frame batch (one write syscall), open the next
-            // local epoch immediately, and only block once the window
-            // holds `pipeline` undrained epochs. The deferred verdict
-            // is checked in drain_one — a loss panics, so returning
-            // `true` here cannot corrupt the win accounting silently.
-            ctx.clients[at]
-                .send_batch(&[(Op::Tas, key), (Op::Reset, key)])
-                .unwrap_or_else(|e| panic!("pipelined batch on {} failed: {e}", self.addr));
-            ctx.inflight.push_back(shard);
-            state.epoch.fetch_add(1, Ordering::Release);
-            if ctx.inflight.len() >= self.pipeline {
-                ctx.drain_one();
-            }
-            return true;
-        }
         let won = match ctx.round_trip(at, Op::Tas, key) {
             Ok(Response::Acquired(a)) => a.won,
             Ok(other) => panic!("TAS on {}: expected a verdict, got {other:?}", self.addr),
@@ -448,9 +311,7 @@ impl LoadTarget for RemoteTarget {
 /// (see [`RemoteTarget`]); the outcome reports as `svc_load`.
 ///
 /// `spec.backend` is ignored — the server chose its algorithm at
-/// `serve` time; rows are labeled `backend=remote`. `spec.pipeline`
-/// sets every worker connection's pipelining depth (see the [module
-/// docs](self)).
+/// `serve` time; rows are labeled `backend=remote`.
 ///
 /// # Errors
 ///
@@ -484,13 +345,7 @@ pub fn run_load_remote_traced(
 ) -> Result<LoadOutcome, ClientError> {
     spec.validate();
     let conns_per_worker = spec.conns.map_or(1, |c| c / spec.threads);
-    let mut target = RemoteTarget::with_shape(
-        addr,
-        spec.shards,
-        spec.group(),
-        spec.pipeline,
-        conns_per_worker,
-    )?;
+    let mut target = RemoteTarget::with_shape(addr, spec.shards, spec.group(), conns_per_worker)?;
     if let Some(recorder) = recorder {
         target = target.with_recorder(recorder)?;
     }
@@ -507,10 +362,9 @@ pub fn run_load_remote_traced(
 /// ([`LoadOutcome::svc_extras`]).
 ///
 /// The set is **fixed** — seven extras, always in this order, every name
-/// present even when the server reports nothing for it (a threads
-/// engine has no `reactor.worker<k>.*` gauges; the sums are then 0) —
-/// so baseline and current reports always carry identical value keys
-/// and `bench-diff` can gate them structurally:
+/// present even when the server reports nothing for it (a missing
+/// metric reads 0) — so baseline and current reports always carry
+/// identical value keys and `bench-diff` can gate them structurally:
 ///
 /// `svc_ops`, `svc_wins`, `svc_resets`, `svc_reclaimed`, `svc_refused`
 /// (the namespace counters), `svc_carryovers` (the reactor counter),

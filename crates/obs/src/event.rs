@@ -16,7 +16,7 @@
 /// across workers on the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
-    /// Listener/admission events (also used by the threads engine).
+    /// Listener/admission events.
     Accept,
     /// Lease-reclaim events: an arrival on an expired key-epoch retired
     /// it.

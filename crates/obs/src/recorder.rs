@@ -103,8 +103,8 @@ impl std::fmt::Debug for FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder with `worker_lanes` per-worker rings (pass the
-    /// reactor worker count; the threads engine passes 0 and shares the
-    /// accept lane). In [`TraceMode::Off`] every ring has capacity 0.
+    /// reactor worker count, or a load client's worker-thread count).
+    /// In [`TraceMode::Off`] every ring has capacity 0.
     pub fn new(mode: TraceMode, worker_lanes: usize) -> Self {
         let (admin_cap, worker_cap) = if mode.enabled() {
             (ADMIN_LANE_CAPACITY, WORKER_LANE_CAPACITY)
@@ -159,9 +159,9 @@ impl FlightRecorder {
         match lane {
             Lane::Accept => &self.accept,
             Lane::Reclaim => &self.reclaim,
-            // An out-of-range worker index (threads engine with no
-            // worker lanes) falls back to the accept lane rather than
-            // panicking on the hot path.
+            // An out-of-range worker index (a churn-respawned load
+            // worker past the lanes it was built with) falls back to
+            // the accept lane rather than panicking on the hot path.
             Lane::Worker(k) => self.workers.get(k).unwrap_or(&self.accept),
         }
     }

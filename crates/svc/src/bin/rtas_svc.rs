@@ -111,13 +111,12 @@ fn main() -> ExitCode {
                 default_hook(info);
             }));
             println!(
-                "rtas-svc: listening on {} (backend={:?} shards={} capacity={} engine={} \
-                 workers={} trace={})",
+                "rtas-svc: listening on {} (backend={:?} shards={} capacity={} workers={} \
+                 trace={})",
                 server.addr(),
                 config.backend,
                 config.shards,
                 config.capacity,
-                config.engine,
                 config.workers,
                 config.trace.label(),
             );

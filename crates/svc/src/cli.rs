@@ -16,7 +16,6 @@ use std::time::Duration;
 
 use rtas_obs::TraceMode;
 
-use crate::reactor::Engine;
 use crate::server::SvcConfig;
 
 /// One `rtas-svc serve` flag: its spelling, value placeholder,
@@ -70,17 +69,10 @@ pub const SERVE_FLAGS: &[Flag] = &[
         sample: "ratrace",
     },
     Flag {
-        name: "--engine",
-        value: "<e>",
-        default: "epoll (threads where unsupported)",
-        help: "connection engine: epoll | threads",
-        sample: "threads",
-    },
-    Flag {
         name: "--workers",
         value: "<n>",
         default: "available parallelism, capped at 8",
-        help: "reactor worker threads (epoll only)",
+        help: "reactor worker threads",
         sample: "2",
     },
     Flag {
@@ -204,11 +196,6 @@ pub fn parse_serve(args: &[String]) -> Result<SvcConfig, String> {
                     value("--read-timeout-ms")?,
                 )?)
             }
-            "--engine" => {
-                let v = value("--engine")?;
-                config.engine = Engine::parse(v)
-                    .ok_or_else(|| format!("unknown engine {v:?} (epoll|threads)"))?;
-            }
             "--backend" => {
                 let v = value("--backend")?;
                 config.backend = rtas::Backend::parse(v).ok_or_else(|| {
@@ -227,12 +214,6 @@ pub fn parse_serve(args: &[String]) -> Result<SvcConfig, String> {
         return Err(format!(
             "--capacity must be at most {} (the per-epoch admission counter width)",
             crate::namespace::MAX_CAPACITY
-        ));
-    }
-    if !config.engine.supported() {
-        return Err(format!(
-            "engine '{}' is unsupported in this build (no syscall shim); use --engine threads",
-            config.engine
         ));
     }
     Ok(config)
@@ -378,8 +359,7 @@ mod tests {
         assert!(err(&["--shards", "0"]).contains("must be positive"));
         assert!(err(&["--shards", "many"]).contains("is invalid"));
         assert!(err(&["--lease-ms", "0"]).contains("omit to disable"));
-        assert!(err(&["--engine", "uring"]).contains("unknown engine"));
-        assert!(err(&["--engine", "poll"]).contains("unknown engine"));
+        assert!(err(&["--engine", "epoll"]).contains("unknown argument"));
         assert!(err(&["--listeners", "2"]).contains("unknown argument"));
         assert!(err(&["--backend", "quantum"]).contains("unknown backend"));
         let cap_err = err(&["--capacity", "1000000000"]);
@@ -397,8 +377,6 @@ mod tests {
             "5",
             "--backend",
             "loglog",
-            "--engine",
-            "threads",
             "--workers",
             "2",
             "--max-keys",
@@ -420,7 +398,6 @@ mod tests {
         assert_eq!(config.shards, 3);
         assert_eq!(config.capacity, 5);
         assert_eq!(config.backend, rtas::Backend::LogLog);
-        assert_eq!(config.engine, Engine::Threads);
         assert_eq!(config.workers, 2);
         assert_eq!(config.max_keys, 10);
         assert_eq!(config.lease, Some(Duration::from_millis(250)));

@@ -224,11 +224,6 @@ impl Client {
         Ok(())
     }
 
-    /// The resolved peer address this client dialed.
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
-    }
-
     /// Whether `TCP_NODELAY` is set on the live stream (it always is —
     /// the socket-level assertion tests check it).
     pub fn nodelay(&self) -> io::Result<bool> {

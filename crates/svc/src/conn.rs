@@ -176,9 +176,8 @@ pub(crate) struct ConnObs<'a> {
     pub recorder: &'a FlightRecorder,
     /// The server's metrics instruments.
     pub metrics: &'a SvcMetrics,
-    /// The lane this connection's per-frame events are written to
-    /// (its reactor worker's lane, or the accept lane for the threads
-    /// engine).
+    /// The lane this connection's per-frame events are written to: its
+    /// reactor worker's lane.
     pub lane: Lane,
 }
 

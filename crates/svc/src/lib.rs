@@ -25,11 +25,11 @@
 //!   connections round-robin and driving thousands of `Connection`
 //!   machines with write backpressure and read deadlines checked by
 //!   one periodic sweep over each worker's connection slab;
-//! * [`server`] / [`client`] — TCP serving through either engine
-//!   (reactor workers by default, thread-per-connection as the
-//!   portable fallback) with one admission policy and bulk-I/O burst
-//!   handling (one read, one coalesced write per pipelined burst),
-//!   and a blocking pipelining-capable client with batched
+//! * [`server`] / [`client`] — TCP serving through the reactor
+//!   workers (Linux on x86_64/aarch64; elsewhere [`Server::spawn`]
+//!   fails as unsupported) with one admission policy and bulk-I/O
+//!   burst handling (one read, one coalesced write per pipelined
+//!   burst), and a blocking pipelining-capable client with batched
 //!   single-write sends, bounded timeouts, and jittered reconnect
 //!   backoff;
 //! * [`chaos`] — the deterministic hostile-network layer: a seeded

@@ -49,9 +49,8 @@ pub struct SvcMetrics {
 }
 
 impl SvcMetrics {
-    /// Instruments for a server with `workers` reactor workers (pass 0
-    /// for the threads engine — the per-worker gauges then simply don't
-    /// exist).
+    /// Instruments for a server with `workers` reactor workers: one
+    /// `reactor.worker<k>.slab_live` gauge each (none for 0).
     pub fn new(workers: usize) -> Self {
         let registry = Registry::new();
         let carryovers = registry.counter("reactor.carryovers");

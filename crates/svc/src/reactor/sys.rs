@@ -1,16 +1,15 @@
 //! The libc-free syscall shim behind the reactor.
 //!
 //! The repo's no-external-deps policy rules out the `libc` crate, and
-//! std does not expose `epoll(7)` — so the four syscalls the reactor
-//! needs (`epoll_create1`, `epoll_ctl`, `epoll_pwait`, `close`) are
-//! invoked directly through inline assembly on the platforms where the
-//! calling convention is stable and documented: Linux on x86_64
-//! (`syscall`, number in `rax`, args in `rdi/rsi/rdx/r10/r8/r9`) and
-//! aarch64 (`svc 0`, number in `x8`, args in `x0..x5`). Everything else
-//! in the server stays plain std; on any other target this module is
-//! compiled out and the `epoll` engine reports itself unsupported (see
-//! [`crate::reactor::Engine`]), falling back to the
-//! thread-per-connection engine.
+//! std does not expose `epoll(7)` — so the five syscalls the reactor
+//! needs (`epoll_create1`, `epoll_ctl`, `epoll_pwait`, `close`, and
+//! `listen` to widen the listener's backlog) are invoked directly
+//! through inline assembly on the platforms where the calling
+//! convention is stable and documented: Linux on x86_64 (`syscall`,
+//! number in `rax`, args in `rdi/rsi/rdx/r10/r8/r9`) and aarch64
+//! (`svc 0`, number in `x8`, args in `x0..x5`). Everything else in the
+//! server stays plain std; on any other target this module is compiled
+//! out and the server cannot serve (see the [reactor docs](super)).
 //!
 //! `epoll_pwait` with a null sigmask is exactly `epoll_wait`; it is
 //! used on both architectures because aarch64 never had the older
@@ -29,6 +28,7 @@ use std::os::fd::RawFd;
 #[cfg(target_arch = "x86_64")]
 mod nr {
     pub const CLOSE: usize = 3;
+    pub const LISTEN: usize = 50;
     pub const EPOLL_CTL: usize = 233;
     pub const EPOLL_PWAIT: usize = 281;
     pub const EPOLL_CREATE1: usize = 291;
@@ -37,6 +37,7 @@ mod nr {
 #[cfg(target_arch = "aarch64")]
 mod nr {
     pub const CLOSE: usize = 57;
+    pub const LISTEN: usize = 201;
     pub const EPOLL_CTL: usize = 21;
     pub const EPOLL_PWAIT: usize = 22;
     pub const EPOLL_CREATE1: usize = 20;
@@ -93,6 +94,24 @@ fn check(ret: isize) -> io::Result<usize> {
     } else {
         Ok(ret as usize)
     }
+}
+
+// --- listen --------------------------------------------------------------
+
+/// The backlog [`listen`] asks for: the largest the argument can say.
+/// The kernel silently clamps it to `net.core.somaxconn` (4096 by
+/// default since Linux 5.4), so the listener gets the host's ceiling
+/// instead of std's fixed 128.
+pub const LISTEN_BACKLOG: i32 = i32::MAX;
+
+/// `listen(fd, backlog)`. On a socket that is already listening (a
+/// bound std `TcpListener`) this only resizes its accept queue: the
+/// connections whose handshakes the kernel completes before anyone
+/// accepts them.
+pub fn listen(fd: RawFd, backlog: i32) -> io::Result<()> {
+    // Safety: no pointer arguments.
+    check(unsafe { syscall6(nr::LISTEN, fd as usize, backlog as usize, 0, 0, 0, 0) })?;
+    Ok(())
 }
 
 // --- epoll ---------------------------------------------------------------
@@ -226,6 +245,33 @@ mod tests {
 
         ep.ctl(EPOLL_CTL_DEL, rx.as_raw_fd(), 0, 0).unwrap();
         assert_eq!(ep.wait(&mut buf, 0).unwrap(), 0, "deregistered");
+    }
+
+    /// Nobody accepts here, so every completed handshake waits in the
+    /// accept queue. Std's backlog of 128 holds 129 of them and the
+    /// 130th SYN is dropped, which leaves that connect waiting a full
+    /// second for its retransmit; the widened queue takes all 300.
+    #[test]
+    fn a_widened_backlog_completes_300_connects_without_accepts() {
+        const CONNECTS: usize = 300;
+        let somaxconn: usize = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(0);
+        if somaxconn < CONNECTS {
+            eprintln!("skipping: net.core.somaxconn is {somaxconn}, below {CONNECTS}");
+            return;
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listen(listener.as_raw_fd(), LISTEN_BACKLOG).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let streams: Vec<TcpStream> = (0..CONNECTS)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, std::time::Duration::from_millis(200))
+                    .unwrap_or_else(|e| panic!("connect {} of {CONNECTS} failed: {e}", i + 1))
+            })
+            .collect();
+        assert_eq!(streams.len(), CONNECTS);
     }
 
     #[test]

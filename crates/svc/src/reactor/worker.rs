@@ -35,12 +35,11 @@
 //! re-adds it once [`ACCEPT_BACKOFF`] has passed, folded into its wait
 //! timeout.
 //!
-//! Lifecycle edges mirror the blocking server exactly (`tests/wire.rs`
-//! pins them): a poisoned stream (framing violation) drains its
-//! pending `ERR` before closing; EOF closes silently but only after
-//! buffered responses flush; a read-deadline expiry answers
-//! best-effort `ERR "read deadline expired"` and closes; every close
-//! releases its `max_conns` slot via
+//! Lifecycle edges (`tests/wire.rs` pins them): a poisoned stream
+//! (framing violation) drains its pending `ERR` before closing; EOF
+//! closes silently but only after buffered responses flush; a
+//! read-deadline expiry answers best-effort `ERR "read deadline
+//! expired"` and closes; every close releases its `max_conns` slot via
 //! [`ConnGauges::disconnected`](crate::ConnGauges::disconnected).
 //!
 //! Steady state allocates nothing: the read chunk, event buffer, slab,
@@ -61,7 +60,7 @@ use rtas_obs::{EventKind, Lane};
 use crate::conn::{ConnObs, ConnStatus, Connection};
 use crate::protocol::{frame_response, Response};
 use crate::reactor::sys::{self, EpollFd};
-use crate::server::{Shared, ACCEPT_BACKOFF};
+use crate::server::Shared;
 
 /// Epoll token of the pool's stop socket.
 const STOP_TOKEN: u64 = u64::MAX;
@@ -69,8 +68,8 @@ const STOP_TOKEN: u64 = u64::MAX;
 /// Epoll token of the listener.
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
-/// Bytes ingested per `read` call — same bulk figure as the blocking
-/// server: one syscall swallows a whole pipelined burst.
+/// Bytes ingested per `read` call: one syscall swallows a whole
+/// pipelined burst.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Readiness events decoded per wait; also the epoll event-buffer
@@ -85,8 +84,13 @@ const EVENTS_PER_WAIT: usize = 1024;
 /// — while a worker still waits on it.
 type StopPair = Arc<(UnixStream, UnixStream)>;
 
-/// A running worker pool — what `Server` holds under the `epoll`
-/// engine.
+/// How long accepting pauses after an accept error other than
+/// `WouldBlock`/`Interrupted` (EMFILE under fd exhaustion, say), so a
+/// persistent failure cannot hot-loop a core while connections that
+/// would free descriptors wait to be served.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// A running worker pool — what `Server` holds.
 #[derive(Debug)]
 pub(crate) struct ReactorPool {
     stop: StopPair,
@@ -97,11 +101,17 @@ impl ReactorPool {
     /// Start `workers` reactor workers accepting from `listener`.
     /// Every epoll set is built and registered before any thread
     /// starts, so a failure (fd pressure) leaves nothing running.
+    ///
+    /// The listener's backlog is widened to the kernel's ceiling first:
+    /// a burst of thousands of connects (the C10K recipe) would
+    /// otherwise overflow std's 128-deep accept queue and leave most of
+    /// its clients waiting on SYN retransmits.
     pub(crate) fn spawn(
         listener: TcpListener,
         workers: usize,
         shared: &Shared,
     ) -> io::Result<ReactorPool> {
+        sys::listen(listener.as_raw_fd(), sys::LISTEN_BACKLOG)?;
         listener.set_nonblocking(true)?;
         let stop: StopPair = Arc::new(UnixStream::pair()?);
         let polls = (0..workers.max(1))
@@ -335,7 +345,7 @@ impl Worker {
     fn accept(&mut self) {
         match self.listener.accept() {
             Ok((stream, _)) => {
-                if let Some(stream) = self.shared.admit(stream) {
+                if let Some(stream) = self.admit(stream) {
                     self.register(stream);
                     self.pass_listener();
                 }
@@ -352,6 +362,44 @@ impl Worker {
                 self.accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
             }
         }
+    }
+
+    /// The admission policy every accepted socket passes: claim a
+    /// `max_conns` slot, or — over the ceiling — undo the claim, name
+    /// the limit best-effort, and hang up, without spending a slab slot
+    /// on the refusal. An admitted stream comes back with its slot
+    /// claimed; [`Worker::close`] releases it.
+    fn admit(&self, mut stream: TcpStream) -> Option<TcpStream> {
+        let shared = &self.shared;
+        let live = shared.gauges.connected();
+        if live > shared.max_conns as u64 {
+            shared.gauges.disconnected();
+            shared.gauges.refuse();
+            shared.recorder.record(
+                Lane::Accept,
+                EventKind::AdmissionRefusal,
+                (live - 1) as u32,
+                0,
+                0,
+            );
+            let mut out = Vec::new();
+            frame_response(
+                &Response::Err(format!(
+                    "connection refused: server is at its {}-connection limit",
+                    shared.max_conns
+                )),
+                &mut out,
+            );
+            // Nonblocking first: a peer that never reads must not
+            // stall the worker that accepted it.
+            let _ = stream.set_nonblocking(true);
+            let _ = stream.write_all(&out);
+            return None;
+        }
+        shared
+            .recorder
+            .record(Lane::Accept, EventKind::Accept, live as u32, 0, 0);
+        Some(stream)
     }
 
     /// Move the listener from this worker's set to the next worker's.
@@ -587,8 +635,9 @@ impl Worker {
     /// `max_conns` slot is already claimed, so every failure here
     /// releases it.
     fn register(&mut self, stream: TcpStream) {
-        // Same transport posture as the blocking server: coalesced
-        // burst writes must leave immediately, reads must not block.
+        // Coalesced burst writes must leave immediately (batching them
+        // behind Nagle would serialize pipelined round trips), and
+        // reads must not block.
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             self.shared.gauges.disconnected();
             return;
@@ -635,8 +684,7 @@ impl Worker {
     }
 
     /// When the sweep is due, walk the slab once: expire every
-    /// connection idle past its deadline with a best-effort `ERR`,
-    /// exactly like the blocking server's read-timeout path, and
+    /// connection idle past its deadline with a best-effort `ERR`, and
     /// schedule the next sweep (see the module docs).
     fn sweep_deadlines(&mut self) {
         let (Some(timeout), Some(due)) = (self.shared.read_timeout, self.next_sweep) else {

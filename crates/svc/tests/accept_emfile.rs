@@ -18,7 +18,7 @@ use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::time::Duration;
 
-use rtas_svc::{Client, ClientConfig, Engine, Server, SvcConfig};
+use rtas_svc::{Client, ClientConfig, Server, SvcConfig};
 
 /// The soft `RLIMIT_NOFILE`, from `/proc/self/limits` (`None` when
 /// unlimited or unreadable).
@@ -50,10 +50,6 @@ fn cpu_ticks(stat: &File) -> u64 {
 
 #[test]
 fn accept_backs_off_when_descriptors_run_out() {
-    if !Engine::SHIM_SUPPORTED {
-        eprintln!("skipping: reactor syscall shim unavailable on this target");
-        return;
-    }
     match soft_fd_limit() {
         Some(limit) if limit <= 65_536 => {}
         other => {
@@ -61,11 +57,7 @@ fn accept_backs_off_when_descriptors_run_out() {
             return;
         }
     }
-    let srv = Server::spawn(SvcConfig {
-        engine: Engine::Epoll,
-        ..SvcConfig::default()
-    })
-    .expect("spawn server");
+    let srv = Server::spawn(SvcConfig::default()).expect("spawn server");
     let addr = srv.addr().to_string();
     let stat = File::open("/proc/self/stat").expect("open /proc/self/stat");
 

@@ -1,4 +1,4 @@
-//! The `epoll` engine's accept path: where connections land and how the
+//! The reactor's accept path: where connections land and how the
 //! pool stops.
 //!
 //! The workers accept in their own event loops, passing the listener
@@ -11,28 +11,19 @@ use std::io;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use rtas_svc::{Client, ClientConfig, ClientError, Engine, Server, SvcConfig};
+use rtas_svc::{Client, ClientConfig, ClientError, Server, SvcConfig};
 
-fn epoll_server(workers: usize) -> Option<Server> {
-    if !Engine::Epoll.supported() {
-        eprintln!("skipping: reactor syscall shim unavailable on this target");
-        return None;
-    }
-    Some(
-        Server::spawn(SvcConfig {
-            engine: Engine::Epoll,
-            workers,
-            ..SvcConfig::default()
-        })
-        .expect("spawn server"),
-    )
+fn server(workers: usize) -> Server {
+    Server::spawn(SvcConfig {
+        workers,
+        ..SvcConfig::default()
+    })
+    .expect("spawn server")
 }
 
 #[test]
 fn connections_round_robin_across_workers() {
-    let Some(srv) = epoll_server(3) else {
-        return;
-    };
+    let srv = server(3);
     let addr = srv.addr().to_string();
     // Five clients, each admitted (one TAS answered) before the next
     // connects: workers 0, 1, 2, 0, 1.
@@ -64,9 +55,7 @@ fn connections_round_robin_across_workers() {
 
 #[test]
 fn shutdown_reaches_every_idle_worker_promptly() {
-    let Some(srv) = epoll_server(4) else {
-        return;
-    };
+    let srv = server(4);
     let addr = srv.addr().to_string();
     // One idle connection per worker, each known admitted.
     let config = ClientConfig {

@@ -1,11 +1,10 @@
-//! Allocation pin for both engines' steady-state serve path, with an
+//! Allocation pin for the reactor's steady-state serve path, with an
 //! admission lease and a read deadline armed.
 //!
 //! The claim is **absolute**: once warmup has faulted in every key,
 //! slab slot, connection buffer and scratch vector, serving traffic
-//! allocates nothing — on the reactor (epoll wait, slab slots, reused
-//! event and chunk buffers, write carryover, the read-deadline sweep)
-//! and on the thread-per-connection engine alike. The keyed objects
+//! allocates nothing — epoll waits, slab slots, reused event and chunk
+//! buffers, write carryover and the read-deadline sweep. The keyed objects
 //! allocate nothing per operation or per reset (`alloc_steady.rs`), a
 //! lease is checked at admission against the namespace clock, and a
 //! read deadline is a timestamp per connection, so neither timeout
@@ -20,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use rtas_svc::{Client, Engine, Op, Response, Server, SvcConfig};
+use rtas_svc::{Client, Op, Response, Server, SvcConfig};
 
 struct CountingAlloc;
 
@@ -51,7 +50,7 @@ fn round(client: &mut Client, key: &[u8]) {
 }
 
 /// One pipelined round: both requests on the wire before either
-/// response is read, exercising the engine's response buffering.
+/// response is read, exercising the worker's response buffering.
 fn batched_round(client: &mut Client, key: &[u8]) {
     client
         .send_batch(&[(Op::Tas, key), (Op::Reset, key)])
@@ -66,15 +65,14 @@ fn batched_round(client: &mut Client, key: &[u8]) {
     }
 }
 
-/// Spawn a server on `engine` with a 20 ms lease and a 5 s read
-/// deadline, drive the canonical traffic shape (6 connections, each
-/// alternating lockstep and pipelined rounds on its own key), and
-/// return the allocation count over the measured window. Warmup faults
-/// in every key, slab slot, connection buffer, and scratch vector on
-/// both sides of the wire before counting.
-fn drive(engine: Engine) -> u64 {
+/// Spawn a server with a 20 ms lease and a 5 s read deadline, drive
+/// the canonical traffic shape (6 connections, each alternating
+/// lockstep and pipelined rounds on its own key), and return the
+/// allocation count over the measured window. Warmup faults in every
+/// key, slab slot, connection buffer, and scratch vector on both sides
+/// of the wire before counting.
+fn drive() -> u64 {
     let server = Server::spawn(SvcConfig {
-        engine,
         workers: 2,
         lease: Some(Duration::from_millis(20)),
         read_timeout: Some(Duration::from_secs(5)),
@@ -117,19 +115,10 @@ fn drive(engine: Engine) -> u64 {
 }
 
 #[test]
-fn both_engines_serve_leased_deadlined_traffic_with_zero_allocations() {
-    let threads = drive(Engine::Threads);
+fn the_reactor_serves_leased_deadlined_traffic_with_zero_allocations() {
+    let counted = drive();
     assert_eq!(
-        threads, 0,
-        "the threads engine allocated {threads} times in steady state"
-    );
-    if !Engine::Epoll.supported() {
-        eprintln!("skipping the epoll engine: reactor syscall shim unavailable on this target");
-        return;
-    }
-    let epoll = drive(Engine::Epoll);
-    assert_eq!(
-        epoll, 0,
-        "the reactor allocated {epoll} times in steady state"
+        counted, 0,
+        "the reactor allocated {counted} times in steady state"
     );
 }

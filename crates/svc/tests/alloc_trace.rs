@@ -10,7 +10,7 @@
 //! wire trace span (`docs/WIRE.md`), so the span insert on the request
 //! frame, the echo splice on the response frame, and the `ServerSpan`
 //! ring record are all inside the measured window. Both runs drive the
-//! same reactor engine over the same keys and epoch counts, so the
+//! same reactor over the same keys and epoch counts, so the
 //! counts are comparable exactly.
 //!
 //! Everything runs in ONE test function: the default test harness runs
@@ -20,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rtas_svc::{Client, Engine, Op, Response, Server, SvcConfig, TraceMode};
+use rtas_svc::{Client, Op, Response, Server, SvcConfig, TraceMode};
 
 struct CountingAlloc;
 
@@ -87,7 +87,6 @@ fn batched_round(client: &mut Client, key: &[u8], tas_span: u64, reset_span: u64
 /// before counting.
 fn drive(trace: TraceMode, spans: bool) -> u64 {
     let server = Server::spawn(SvcConfig {
-        engine: Engine::Epoll,
         workers: 2,
         trace,
         ..SvcConfig::default()
@@ -141,10 +140,6 @@ fn drive(trace: TraceMode, spans: bool) -> u64 {
 
 #[test]
 fn tracing_adds_zero_allocations_over_an_untraced_server() {
-    if !Engine::Epoll.supported() {
-        eprintln!("skipping: reactor syscall shim unavailable on this target");
-        return;
-    }
     // Untraced first: its measured window sets the budget the traced,
     // span-stamped server must match exactly on the identical traffic
     // shape.

@@ -1,7 +1,7 @@
 //! Wire-protocol integration tests against a live loopback server:
 //! malformed/truncated frames, pipelining, concurrent clients racing
 //! `TAS` on one key, `RESET`-then-reuse round trips under 8 real
-//! client threads, leases, and read deadlines on both engines.
+//! client threads, leases, and read deadlines.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use rtas::Backend;
 use rtas_svc::protocol::MAX_PAYLOAD;
 use rtas_svc::server::SvcConfig;
-use rtas_svc::{server, Client, ClientConfig, ClientError, Engine, Op, Response, Server};
+use rtas_svc::{server, Client, ClientConfig, ClientError, Op, Response, Server};
 
 fn spawn_server(shards: usize, capacity: usize) -> rtas_svc::Server {
     server::spawn_local(Backend::Combined, shards, capacity).expect("bind loopback")
@@ -298,75 +298,66 @@ fn server_read_deadline_expires_a_stalled_connection() {
 #[test]
 fn read_deadline_closes_a_silent_connection_and_spares_an_active_one() {
     let timeout = Duration::from_millis(200);
-    for engine in [Engine::Threads, Engine::Epoll] {
-        if !engine.supported() {
-            continue;
-        }
-        // One reactor worker: both connections share its slab and its
-        // deadline sweeps.
-        let srv = Server::spawn(SvcConfig {
-            engine,
-            workers: 1,
-            read_timeout: Some(timeout),
-            ..SvcConfig::default()
-        })
-        .expect("bind loopback");
-        let addr = srv.addr();
-        let mut active = Client::connect(addr).unwrap();
+    // One reactor worker: both connections share its slab and its
+    // deadline sweeps.
+    let srv = Server::spawn(SvcConfig {
+        workers: 1,
+        read_timeout: Some(timeout),
+        ..SvcConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = srv.addr();
+    let mut active = Client::connect(addr).unwrap();
 
-        // The active connection sends one TAS every 50 ms for 600 ms,
-        // three timeouts' worth: every request gets a verdict.
-        let start = Instant::now();
-        let mut verdicts = 0;
-        let mut reader = None;
-        while start.elapsed() < Duration::from_millis(600) {
-            active.tas(b"deadline/active").expect("verdict");
-            verdicts += 1;
-            if verdicts == 2 {
-                // The silent connection joins ~50 ms in and never sends
-                // a byte; its deadline is not the one that armed the
-                // worker's pending sweep, so expiring it takes a
-                // rescheduled sweep. A reader thread notes when its ERR
-                // and EOF arrive.
-                reader = Some(std::thread::spawn(move || {
-                    let connected = Instant::now();
-                    let mut silent = TcpStream::connect(addr).unwrap();
-                    silent
-                        .set_read_timeout(Some(Duration::from_secs(10)))
-                        .unwrap();
-                    let mut header = [0u8; 4];
-                    silent.read_exact(&mut header).unwrap();
-                    let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
-                    silent.read_exact(&mut payload).unwrap();
-                    let err_at = connected.elapsed();
-                    let eof = silent.read(&mut header).unwrap() == 0;
-                    let reply = rtas_svc::protocol::decode_response(&payload).unwrap();
-                    (reply, err_at, eof)
-                }));
-            }
-            std::thread::sleep(Duration::from_millis(50));
+    // The active connection sends one TAS every 50 ms for 600 ms,
+    // three timeouts' worth: every request gets a verdict.
+    let start = Instant::now();
+    let mut verdicts = 0;
+    let mut reader = None;
+    while start.elapsed() < Duration::from_millis(600) {
+        active.tas(b"deadline/active").expect("verdict");
+        verdicts += 1;
+        if verdicts == 2 {
+            // The silent connection joins ~50 ms in and never sends a
+            // byte; its deadline is not the one that armed the
+            // worker's pending sweep, so expiring it takes a
+            // rescheduled sweep. A reader thread notes when its ERR and
+            // EOF arrive.
+            reader = Some(std::thread::spawn(move || {
+                let connected = Instant::now();
+                let mut silent = TcpStream::connect(addr).unwrap();
+                silent
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                let mut header = [0u8; 4];
+                silent.read_exact(&mut header).unwrap();
+                let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
+                silent.read_exact(&mut payload).unwrap();
+                let err_at = connected.elapsed();
+                let eof = silent.read(&mut header).unwrap() == 0;
+                let reply = rtas_svc::protocol::decode_response(&payload).unwrap();
+                (reply, err_at, eof)
+            }));
         }
-        assert!(verdicts >= 6, "{engine}: only {verdicts} requests sent");
-
-        let (reply, err_at, eof) = reader.expect("silent connection").join().unwrap();
-        match reply {
-            Response::Err(msg) => assert_eq!(msg, "read deadline expired", "{engine}"),
-            other => panic!("{engine}: expected ERR, got {other:?}"),
-        }
-        assert!(
-            eof,
-            "{engine}: the silent connection is closed after its ERR"
-        );
-        assert!(
-            err_at >= timeout && err_at <= 2 * timeout,
-            "{engine}: deadline fired {err_at:?} after connect, timeout {timeout:?}"
-        );
-        // Still open: the active connection is served right away.
-        active
-            .tas(b"deadline/active")
-            .expect("active connection open");
-        srv.shutdown();
+        std::thread::sleep(Duration::from_millis(50));
     }
+    assert!(verdicts >= 6, "only {verdicts} requests sent");
+
+    let (reply, err_at, eof) = reader.expect("silent connection").join().unwrap();
+    match reply {
+        Response::Err(msg) => assert_eq!(msg, "read deadline expired"),
+        other => panic!("expected ERR, got {other:?}"),
+    }
+    assert!(eof, "the silent connection is closed after its ERR");
+    assert!(
+        err_at >= timeout && err_at <= 2 * timeout,
+        "deadline fired {err_at:?} after connect, timeout {timeout:?}"
+    );
+    // Still open: the active connection is served right away.
+    active
+        .tas(b"deadline/active")
+        .expect("active connection open");
+    srv.shutdown();
 }
 
 #[test]
@@ -538,7 +529,7 @@ fn connections_beyond_max_conns_are_refused_with_a_named_err() {
     assert_eq!(stats.refused, 1, "the refusal is counted");
 
     // Releasing a slot readmits: drop one client, and a retry loop gets
-    // in (the handler thread may take a moment to observe the EOF).
+    // in (the worker may take a moment to observe the EOF).
     drop(b);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {

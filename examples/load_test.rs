@@ -47,7 +47,6 @@ fn main() {
         seed: 42,
         churn: None,
         warmup: Warmup::None,
-        pipeline: 1,
         conns: None,
     });
     print_outcome("closed", &closed);
@@ -62,7 +61,6 @@ fn main() {
         seed: 42,
         churn: Some(1_000),
         warmup: Warmup::None,
-        pipeline: 1,
         conns: None,
     });
     print_outcome("closed+churn", &churned);
@@ -81,7 +79,6 @@ fn main() {
         seed: 42,
         churn: None,
         warmup: Warmup::None,
-        pipeline: 1,
         conns: None,
     });
     print_outcome("open", &open);

@@ -217,14 +217,7 @@ fn usage_block(src: &str) -> String {
 #[test]
 fn readme_mentions_the_headline_flags() {
     let readme = fs::read_to_string(repo_root().join("README.md")).expect("README");
-    for flag in [
-        "--engine",
-        "--workers",
-        "--max-conns",
-        "--conns",
-        "--pipeline",
-        "--chaos",
-    ] {
+    for flag in ["--workers", "--max-conns", "--conns", "--chaos"] {
         assert!(readme.contains(flag), "README.md no longer mentions {flag}");
     }
 }

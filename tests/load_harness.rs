@@ -19,7 +19,6 @@ fn arena_reuse_over_100_epochs_under_contention() {
         seed: 3,
         churn: None,
         warmup: rtas_load::Warmup::None,
-        pipeline: 1,
         conns: None,
     });
     assert_eq!(out.total_ops(), 960);
@@ -48,7 +47,6 @@ fn every_backend_survives_the_closed_loop() {
             seed: 5,
             churn: None,
             warmup: rtas_load::Warmup::None,
-            pipeline: 1,
             conns: None,
         });
         assert_eq!(out.total_wins(), out.resolutions(), "{backend:?}");
@@ -65,7 +63,6 @@ fn churn_respawns_workers_without_losing_ops_or_safety() {
         seed: 11,
         churn: Some(7),
         warmup: rtas_load::Warmup::None,
-        pipeline: 1,
         conns: None,
     });
     assert_eq!(out.total_ops(), 400);
@@ -95,7 +92,6 @@ fn open_loop_same_seed_same_offered_load() {
         seed: 77,
         churn: None,
         warmup: rtas_load::Warmup::None,
-        pipeline: 1,
         conns: None,
     };
     let x = run_load(spec);
@@ -122,7 +118,6 @@ fn report_carries_wall_gate_labels_and_matches_counts() {
         seed: 1,
         churn: None,
         warmup: rtas_load::Warmup::None,
-        pipeline: 1,
         conns: None,
     });
     let report = out.bench_report();
@@ -153,7 +148,6 @@ fn slo_checks_read_the_overall_distribution() {
         seed: 2,
         churn: None,
         warmup: rtas_load::Warmup::None,
-        pipeline: 1,
         conns: None,
     });
     assert!(Slo {
@@ -186,7 +180,6 @@ fn arena_epochs_continue_across_driver_runs() {
         seed: 0,
         churn: None,
         warmup: rtas_load::Warmup::None,
-        pipeline: 1,
         conns: None,
     };
     let first = rtas_load::run_load_on(&arena, spec);

@@ -17,7 +17,7 @@ use rtas_load::scrape_svc_extras;
 use rtas_svc::obs::{
     audit_events, decode_dump, merge_spans, render_timeline, EventKind, FlightRecorder,
 };
-use rtas_svc::{ChaosSpec, Client, Engine, FaultPlan, Server, SvcConfig, TraceMode};
+use rtas_svc::{ChaosSpec, Client, FaultPlan, Server, SvcConfig, TraceMode};
 
 fn spec(threads: usize, shards: usize, total_ops: u64) -> LoadSpec {
     LoadSpec {
@@ -28,7 +28,6 @@ fn spec(threads: usize, shards: usize, total_ops: u64) -> LoadSpec {
         seed: 1,
         churn: None,
         warmup: Warmup::None,
-        pipeline: 1,
         conns: None,
     }
 }
@@ -261,12 +260,7 @@ fn metrics_scrape_has_the_fixed_report_extras_shape() {
 
 #[test]
 fn traced_reactor_exposes_stage_latencies_and_worker_gauges() {
-    if !Engine::Epoll.supported() {
-        eprintln!("skipping: reactor syscall shim unavailable on this target");
-        return;
-    }
     let srv = Server::spawn(SvcConfig {
-        engine: Engine::Epoll,
         workers: 2,
         trace: TraceMode::On,
         ..SvcConfig::default()

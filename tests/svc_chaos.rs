@@ -38,7 +38,6 @@ fn spec(threads: usize, shards: usize, total_ops: u64) -> LoadSpec {
         seed: 1,
         churn: None,
         warmup: Warmup::None,
-        pipeline: 1,
         conns: None,
     }
 }

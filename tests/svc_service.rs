@@ -18,7 +18,6 @@ fn spec(threads: usize, shards: usize, mode: Mode) -> LoadSpec {
         seed: 1,
         churn: None,
         warmup: Warmup::None,
-        pipeline: 1,
         conns: None,
     }
 }
