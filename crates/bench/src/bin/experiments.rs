@@ -26,10 +26,10 @@
 //! `baselines/`. Pass `--no-json` to skip the files.
 
 use rtas_bench::experiments;
-use rtas_bench::report::BenchReport;
 use rtas_bench::runner::TrialRunner;
 use rtas_bench::scenarios;
 use rtas_bench::Scale;
+use rtas_obs::report::BenchReport;
 
 fn write_report(report: BenchReport) {
     match report.write() {

@@ -1,7 +1,7 @@
 //! The perf-regression gate: compare two sets of `BENCH_*.json` reports.
 //!
 //! The experiments binary emits distributional rows (see
-//! [`crate::report`]); committed baselines live under `baselines/` in
+//! [`rtas_obs::report`]); committed baselines live under `baselines/` in
 //! the repository. This module compares a freshly emitted report
 //! directory against those baselines with *noise-aware, per-metric*
 //! relative thresholds:
@@ -55,7 +55,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::report::{BenchReport, BenchRow};
+use rtas_obs::report::{BenchReport, BenchRow};
 
 /// Deterministic metrics never drift without a real change; the wall
 /// clock jitters by whole milliseconds even on one machine.

@@ -29,11 +29,11 @@ use rtas_lowerbound::covering::covering_base_case;
 use rtas_lowerbound::hitting_time::{geometric_ge_rate, iterated_rate_depth};
 use rtas_lowerbound::recurrence::{closed_form_f, f_sequence};
 use rtas_lowerbound::yao::schedule_tail_probabilities;
+use rtas_obs::report::{BenchReport, BenchRow};
+use rtas_obs::stats::{StatsAccumulator, Summary};
 
-use crate::report::{BenchReport, BenchRow};
 use crate::runner::{Sweep, SweepPoint, Trial, TrialRunner};
 use crate::scenarios;
-use crate::stats::{StatsAccumulator, Summary};
 use crate::Scale;
 
 /// The workload every pre-scenario experiment ran implicitly: all
@@ -1207,6 +1207,50 @@ mod tests {
         TrialRunner::new(2)
     }
 
+    /// Least-squares slope of `ln y` against `ln x`: the power-law
+    /// exponent behind the growth-shape assertions. Points with a
+    /// non-positive coordinate are skipped.
+    fn log_log_slope(points: &[(f64, f64)]) -> f64 {
+        let logs: Vec<(f64, f64)> = points
+            .iter()
+            .filter(|&&(x, y)| x > 0.0 && y > 0.0)
+            .map(|&(x, y)| (x.ln(), y.ln()))
+            .collect();
+        assert!(logs.len() >= 2, "need at least two positive points");
+        let n = logs.len() as f64;
+        let sx: f64 = logs.iter().map(|p| p.0).sum();
+        let sy: f64 = logs.iter().map(|p| p.1).sum();
+        let sxx: f64 = logs.iter().map(|p| p.0 * p.0).sum();
+        let sxy: f64 = logs.iter().map(|p| p.0 * p.1).sum();
+        let denom = n * sxx - sx * sx;
+        assert!(denom.abs() > 1e-12, "x values are degenerate");
+        (n * sxy - sx * sy) / denom
+    }
+
+    #[test]
+    fn slope_recovers_power_law_exponents() {
+        let slope = |f: fn(f64) -> f64| {
+            log_log_slope(&(1..=6).map(|k| (k as f64, f(k as f64))).collect::<Vec<_>>())
+        };
+        assert!((slope(|k| 3.0 * k) - 1.0).abs() < 1e-9);
+        assert!((slope(|k| 0.5 * k * k) - 2.0).abs() < 1e-9);
+        assert!(slope(|_| 7.0).abs() < 1e-9);
+        let s = slope(|k| k.log2() + 5.0);
+        assert!(s > 0.0 && s < 0.5, "slope {s}");
+    }
+
+    #[test]
+    #[should_panic(expected = "two positive points")]
+    fn too_few_points_panics() {
+        let _ = log_log_slope(&[(1.0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x values are degenerate")]
+    fn slope_with_degenerate_x_panics() {
+        let _ = log_log_slope(&[(3.0, 1.0), (3.0, 2.0), (3.0, 4.0)]);
+    }
+
     #[test]
     fn k_sweep_handles_degenerate_max() {
         assert!(k_sweep(0).is_empty());
@@ -1336,8 +1380,8 @@ mod tests {
         let attacked: Vec<(f64, f64)> =
             rows.iter().map(|r| (r.k as f64, r.attacked.mean)).collect();
         let random: Vec<(f64, f64)> = rows.iter().map(|r| (r.k as f64, r.random.mean)).collect();
-        let s_att = crate::stats::log_log_slope(&attacked);
-        let s_rnd = crate::stats::log_log_slope(&random);
+        let s_att = log_log_slope(&attacked);
+        let s_rnd = log_log_slope(&random);
         assert!(s_att > 0.6, "attacked slope {s_att} not ~linear");
         assert!(s_rnd < 0.35, "random slope {s_rnd} not ~flat");
     }
@@ -1356,7 +1400,7 @@ mod tests {
             .iter()
             .map(|r| (r.steps.k as f64, r.steps.mean_max_steps))
             .collect();
-        let slope = crate::stats::log_log_slope(&pts);
+        let slope = log_log_slope(&pts);
         assert!(slope < 0.25, "log* steps slope {slope} too steep");
     }
 

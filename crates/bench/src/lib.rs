@@ -9,10 +9,8 @@
 pub mod diff;
 pub mod experiments;
 pub mod microbench;
-pub mod report;
 pub mod runner;
 pub mod scenarios;
-pub mod stats;
 
 /// Scale knobs shared by all experiments.
 #[derive(Debug, Clone, Copy)]

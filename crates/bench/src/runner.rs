@@ -46,8 +46,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rtas::sim::rng::SplitMix64;
-
-use crate::stats::{StatsAccumulator, Summary};
+use rtas_obs::stats::{StatsAccumulator, Summary};
 
 /// One trial's identity: its index within the batch and its derived seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,34 +244,9 @@ impl SweepPoint {
         self.stats.max()
     }
 
-    /// Best (minimum) observation.
-    pub fn best(&self) -> f64 {
-        self.stats.min()
-    }
-
-    /// Median observation estimate.
-    pub fn p50(&self) -> f64 {
-        self.stats.p50()
-    }
-
-    /// 90th-percentile estimate.
-    pub fn p90(&self) -> f64 {
-        self.stats.p90()
-    }
-
     /// 99th-percentile estimate.
     pub fn p99(&self) -> f64 {
         self.stats.p99()
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.stats.stddev()
-    }
-
-    /// Half-width of the normal-approx 95% CI for the mean.
-    pub fn ci95(&self) -> f64 {
-        self.stats.ci95_half_width()
     }
 
     /// Snapshot of every derived statistic.

@@ -47,12 +47,12 @@
 //! Prints a per-shard table (ops, throughput, latency quantiles in
 //! microseconds) and writes `BENCH_native_load.json` — or, with
 //! `--backend remote`, `BENCH_svc_load.json` — to `RTAS_BENCH_DIR`
-//! (default: current directory) through the `rtas_bench` report
-//! machinery. The same `--seed` in open-loop mode offers a bit-identical
-//! arrival schedule on every run, local or remote; warmup windows are
-//! excluded from the recorded statistics and SLO checks but still
-//! counted by the one-winner-per-epoch safety assertion. See the
-//! README's "Native load harness" section.
+//! (default: current directory; created if missing) through the
+//! `rtas_obs` report machinery. The same `--seed` in open-loop mode
+//! offers a bit-identical arrival schedule on every run, local or
+//! remote; warmup windows are excluded from the recorded statistics
+//! and SLO checks but still counted by the one-winner-per-epoch safety
+//! assertion. See the README's "Native load harness" section.
 
 use std::process::ExitCode;
 use std::sync::Arc;

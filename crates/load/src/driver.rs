@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use rtas::native::NativeRunner;
 use rtas::Backend;
-use rtas_bench::report::{BenchReport, BenchRow};
+use rtas_obs::report::{BenchReport, BenchRow};
 
 use crate::arena::TasArena;
 use crate::recorder::LoadRecorder;

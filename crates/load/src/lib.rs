@@ -19,7 +19,7 @@
 //!   engine's retirement/respawn axis onto OS threads, plus latency
 //!   [`Slo`] checks.
 //! * [`recorder`] — per-shard latency/throughput accumulation through
-//!   `rtas_bench`'s mergeable [`StatsAccumulator`], folded across
+//!   `rtas_obs`'s mergeable [`StatsAccumulator`], folded across
 //!   workers order-independently.
 //! * [`remote`] — the same drivers aimed at an `rtas-svc` arbitration
 //!   server over TCP (`--backend remote --addr host:port`): shard `s`
@@ -35,7 +35,7 @@
 //!
 //! The `rtas-load` binary drives all of it from the command line and
 //! emits `BENCH_native_load.json` (or `BENCH_svc_load.json`) through
-//! the `rtas_bench` report machinery; `bench-diff` checks those reports
+//! the `rtas_obs` report machinery; `bench-diff` checks those reports
 //! structurally and leaves their wall-clock-derived metrics out of
 //! tolerance gating unless `--gate-wall` is passed.
 //!
@@ -56,7 +56,7 @@
 //! assert_eq!(out.total_wins(), out.resolutions()); // one winner per epoch
 //! ```
 //!
-//! [`StatsAccumulator`]: rtas_bench::stats::StatsAccumulator
+//! [`StatsAccumulator`]: rtas_obs::stats::StatsAccumulator
 
 pub mod arena;
 pub mod chaos;

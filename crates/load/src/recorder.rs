@@ -5,14 +5,14 @@
 //! allocation and no cross-thread traffic. After the run, worker
 //! recorders fold together with [`LoadRecorder::merge`]: the underlying
 //! [`StatsAccumulator`] merge is associative with bit-identical
-//! quantiles under any merge order (see `rtas_bench::stats`), so the
+//! quantiles under any merge order (see `rtas_obs::stats`), so the
 //! final per-shard p50/p90/p99 do not depend on worker join order.
 //!
 //! Latencies are recorded in **microseconds** — the natural magnitude
 //! for a resolution on real atomics, and comfortably inside the
 //! accumulator's log-bin histogram range.
 
-use rtas_bench::stats::{StatsAccumulator, Summary};
+use rtas_obs::stats::{StatsAccumulator, Summary};
 
 /// Error-class counts for a run: how much of the offered load hit
 /// transport faults or server-side recovery, instead of being silently

@@ -8,8 +8,10 @@
 //! machines. `rtas-trace dump <file> [--json]` is the CLI front end
 //! for all three.
 
-use crate::event::{lane_name, EventKind, TraceEvent};
 use std::io;
+
+use crate::event::{lane_name, EventKind, TraceEvent};
+use crate::json::Json;
 
 /// Dump-file magic: `RTASTRC` plus the format generation digit.
 pub const MAGIC: &[u8; 8] = b"RTASTRC1";
@@ -225,27 +227,20 @@ pub fn render_timeline(events: &[TraceEvent]) -> String {
 }
 
 /// Render events as a JSON array of objects (`ts_ns`, `lane`, `ticket`,
-/// `kind`, `a`, `b`, `c`). Hand-rolled — every field is numeric or a
-/// fixed kebab-case name, so no escaping is needed.
+/// `kind`, `a`, `b`, `c`), one event per line.
 pub fn render_json(events: &[TraceEvent]) -> String {
-    let mut out = String::from("[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"ts_ns\":{},\"lane\":\"{}\",\"ticket\":{},\"kind\":\"{}\",\"a\":{},\"b\":{},\"c\":{}}}",
-            e.ts_ns,
-            lane_name(e.lane),
-            e.ticket,
-            kind_label(e),
-            e.a,
-            e.b,
-            e.c
-        ));
-    }
-    out.push_str("\n]\n");
-    out
+    let events = events.iter().map(|e| {
+        Json::obj([
+            ("ts_ns", Json::from(e.ts_ns)),
+            ("lane", Json::from(lane_name(e.lane))),
+            ("ticket", Json::from(e.ticket)),
+            ("kind", Json::from(kind_label(e))),
+            ("a", Json::from(e.a)),
+            ("b", Json::from(e.b)),
+            ("c", Json::from(e.c)),
+        ])
+    });
+    format!("{}\n", Json::Arr(events.collect()))
 }
 
 #[cfg(test)]
@@ -357,8 +352,8 @@ mod tests {
         assert!(timeline.contains("dur=1500ns"));
         assert!(timeline.contains("rtt=9000ns"));
         let json = render_json(&events);
-        assert!(json.contains("\"kind\":\"server-span\""));
-        assert!(json.contains("\"kind\":\"client-span\""));
+        assert!(json.contains("\"kind\": \"server-span\""));
+        assert!(json.contains("\"kind\": \"client-span\""));
     }
 
     #[test]
@@ -405,10 +400,10 @@ mod tests {
         assert!(json.starts_with('['));
         assert!(json.trim_end().ends_with(']'));
         assert_eq!(json.matches("\"ts_ns\":").count(), events.len());
-        assert!(json.contains("\"kind\":\"lease-reclaim\""));
+        assert!(json.contains("\"kind\": \"lease-reclaim\""));
 
         assert_eq!(render_timeline(&[]), "(empty trace)\n");
-        assert_eq!(render_json(&[]), "[\n]\n");
+        assert_eq!(render_json(&[]), "[]\n");
     }
 
     #[test]

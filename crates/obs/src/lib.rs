@@ -29,10 +29,9 @@
 //!   or as JSON (`rtas-trace dump`).
 //! * [`metrics`] — the **metrics plane**: typed [`Counter`]s,
 //!   [`Gauge`]s, and lock-free log-bin latency [`Histogram`]s (the
-//!   exact [`rtas_bench::stats`] bin scheme, so quantile semantics
-//!   match the BENCH reports), registered by name in a [`Registry`]
-//!   that renders the versioned key/value text the `METRICS` wire op
-//!   serves.
+//!   exact [`stats`] bin scheme, so quantile semantics match the BENCH
+//!   reports), registered by name in a [`Registry`] that renders the
+//!   versioned key/value text the `METRICS` wire op serves.
 //! * [`merge`] — cross-tier span joining: the wire trace extension
 //!   (`docs/WIRE.md`) gives a request one span id on both sides of the
 //!   socket, and [`merge_spans`] pairs a client dump's
@@ -45,6 +44,10 @@
 //!   paper's safety claim (exactly one winner per key-epoch, no
 //!   post-reclaim wins) offline. `rtas-trace merge|audit` is the CLI
 //!   front end for both.
+//! * [`stats`], [`report`], [`json`] — the mergeable distribution
+//!   accumulator and log-bin scheme behind every quantile in the
+//!   repository, the `BENCH_*.json` reports, and the one JSON writer
+//!   and parser every JSON surface goes through.
 //!
 //! The flight recorder is opt-in ([`TraceMode::Off`] records nothing
 //! and costs one branch per site); the metrics plane is always on
@@ -57,10 +60,13 @@
 pub mod audit;
 pub mod dump;
 pub mod event;
+pub mod json;
 pub mod merge;
 pub mod metrics;
 pub mod recorder;
+pub mod report;
 pub mod ring;
+pub mod stats;
 
 pub use audit::{audit_events, AuditReport};
 pub use dump::{decode_dump, encode_dump, render_json, render_timeline, LaneDump, TraceDump};

@@ -26,9 +26,9 @@
 
 use std::collections::HashMap;
 
-use rtas_bench::report::{BenchReport, BenchRow};
-
 use crate::event::{EventKind, TraceEvent};
+use crate::json::Json;
+use crate::report::{BenchReport, BenchRow};
 
 /// One request seen end to end: the client's round trip plus the
 /// server span that answered it (when the server's ring retained it).
@@ -271,40 +271,36 @@ pub fn render_merge_timeline(m: &MergeOutcome) -> String {
     out
 }
 
-/// Render the merged view as one JSON object: the summary fields plus a
-/// `pairs` array (`span`, `op`, `rtt_ns`, `server_ns` — `null` when
-/// unpaired). Hand-rolled like the rest of the repo's JSON.
+/// Render the merged view as one JSON object: the summary counts
+/// (`pairs` is the number of client spans that found their server
+/// span), the network floor and clock offset, and a `requests` array
+/// with one object per client span (`span`, `op`, `client_end_ns`,
+/// `rtt_ns`, `server_ns`, `queue_ns`; the last two `null` when
+/// unpaired).
 pub fn render_merge_json(m: &MergeOutcome) -> String {
-    let mut out = String::from("{\n");
     let paired = m.pairs.iter().filter(|p| p.server_dur_ns.is_some()).count();
-    out.push_str(&format!("  \"pairs\": {paired},\n"));
-    out.push_str(&format!("  \"client_spans\": {},\n", m.client_spans));
-    out.push_str(&format!("  \"server_spans\": {},\n", m.server_spans));
-    out.push_str(&format!("  \"unpaired_client\": {},\n", m.unpaired_client));
-    out.push_str(&format!("  \"unpaired_server\": {},\n", m.unpaired_server));
-    out.push_str(&format!(
-        "  \"duplicate_server\": {},\n",
-        m.duplicate_server
-    ));
-    out.push_str(&format!("  \"net_floor_ns\": {},\n", m.net_floor_ns));
-    out.push_str(&format!("  \"clock_offset_ns\": {},\n", m.clock_offset_ns));
-    out.push_str("  \"requests\": [");
-    for (i, p) in m.pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let server = p
-            .server_dur_ns
-            .map_or("null".to_string(), |d| d.to_string());
-        let queue = m.queue_ns(p).map_or("null".to_string(), |q| q.to_string());
-        out.push_str(&format!(
-            "\n    {{\"span\":\"0x{:016x}\",\"op\":{},\"client_end_ns\":{},\"rtt_ns\":{},\
-             \"server_ns\":{},\"queue_ns\":{}}}",
-            p.span, p.op, p.client_end_ns, p.rtt_ns, server, queue
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let requests = m.pairs.iter().map(|p| {
+        Json::obj([
+            ("span", Json::from(format!("0x{:016x}", p.span))),
+            ("op", Json::from(p.op)),
+            ("client_end_ns", Json::from(p.client_end_ns)),
+            ("rtt_ns", Json::from(p.rtt_ns)),
+            ("server_ns", Json::from(p.server_dur_ns)),
+            ("queue_ns", Json::from(m.queue_ns(p))),
+        ])
+    });
+    let merged = Json::obj([
+        ("pairs", Json::from(paired)),
+        ("client_spans", Json::from(m.client_spans)),
+        ("server_spans", Json::from(m.server_spans)),
+        ("unpaired_client", Json::from(m.unpaired_client)),
+        ("unpaired_server", Json::from(m.unpaired_server)),
+        ("duplicate_server", Json::from(m.duplicate_server)),
+        ("net_floor_ns", Json::from(m.net_floor_ns)),
+        ("clock_offset_ns", Json::from(m.clock_offset_ns)),
+        ("requests", Json::Arr(requests.collect())),
+    ]);
+    format!("{merged}\n")
 }
 
 /// Build the structurally-gated `BENCH_svc_e2e.json` report from a
@@ -507,11 +503,11 @@ mod tests {
         assert!(text.contains("(no server span)"));
         let json = render_merge_json(&m);
         assert!(json.contains("\"pairs\": 1"));
-        assert!(json.contains("\"span\":\"0x0000000000000009\""));
-        assert!(json.contains("\"server_ns\":null"));
+        assert!(json.contains("\"span\": \"0x0000000000000009\""));
+        assert!(json.contains("\"server_ns\": null"));
         let empty = merge_spans(&[], &[]);
         assert!(render_merge_timeline(&empty).contains("(no spans)"));
-        assert!(render_merge_json(&empty).contains("\"requests\": [\n  ]"));
+        assert!(render_merge_json(&empty).contains("\"requests\": []"));
     }
 
     #[test]

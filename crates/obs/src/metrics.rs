@@ -5,7 +5,7 @@
 //! every instrument is a relaxed atomic (or an array of them), cheap
 //! enough to keep lit on the hot path, and sweeping a snapshot never
 //! stops writers. [`Histogram`] reuses the exact
-//! [`rtas_bench::stats`] log-bin scheme ([`BINS`] bins, `bin_index` /
+//! [`crate::stats`] log-bin scheme ([`BINS`] bins, `bin_index` /
 //! `bin_midpoint`), so its quantiles carry the same ±6.25% relative
 //! error contract as every BENCH report in this repo.
 //!
@@ -24,9 +24,10 @@
 //! decimal — trivially parseable by `rtas-load`'s scraper and by
 //! humans.
 
-use rtas_bench::stats::{bin_index, bin_midpoint, BINS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::stats::{bin_index, bin_midpoint, BINS};
 
 /// A monotonically increasing count.
 #[derive(Debug, Default)]
@@ -92,7 +93,7 @@ impl Gauge {
 }
 
 /// A lock-free latency histogram over the shared
-/// [`rtas_bench::stats`] log-bin layout.
+/// [`crate::stats`] log-bin layout.
 ///
 /// Values are whatever unit the caller names the metric with (this repo
 /// records nanoseconds and suffixes names `_ns`). Non-finite or

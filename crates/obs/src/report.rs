@@ -1,9 +1,9 @@
 //! Machine-readable benchmark reports: `BENCH_<name>.json`.
 //!
-//! The experiments binary emits one JSON file per tracked experiment so
-//! the perf trajectory of the simulator can be compared across PRs
-//! without scraping the printed tables. The format is a single JSON
-//! object:
+//! The experiments binary, `rtas-load` and `rtas-trace merge --bench`
+//! each emit one JSON file per tracked run, so the perf trajectory can
+//! be compared across changes without scraping printed tables. The
+//! format is a single JSON object:
 //!
 //! ```json
 //! {
@@ -23,10 +23,9 @@
 //! normal-approx 95% CI half-width, and p50/p90/p99 from the log-bin
 //! histogram — see [`crate::stats`]), and the wall-clock cost of the
 //! batch; experiments may append extra named numeric fields
-//! (`registers` above) and string labels (`algorithm`). No external
-//! JSON crate is available in this environment, so both serialization
-//! **and parsing** are done by hand: [`BenchReport::to_json`] emits the
-//! canonical shape above, [`BenchReport::from_json`] reads any
+//! (`registers` above) and string labels (`algorithm`).
+//! [`BenchReport::to_json`] writes that shape through the
+//! [`crate::json`] writer, [`BenchReport::from_json`] reads any
 //! whitespace/field order back, and the pair round-trips exactly —
 //! `BenchReport::from_json(&r.to_json()) == r`. Non-finite floats
 //! serialize as `null` and parse back as NaN; report equality treats
@@ -34,13 +33,13 @@
 //! too.
 //!
 //! Files are written to the directory named by `RTAS_BENCH_DIR`
-//! (default: the current working directory). The `bench-diff` binary
-//! compares two directories of these files (see [`crate::diff`]).
+//! (default: the current working directory), which is created if
+//! missing. The `bench-diff` binary of `rtas-bench` compares two
+//! directories of these files.
 
-use std::io::Write as _;
 use std::path::PathBuf;
 
-use crate::runner::SweepPoint;
+use crate::json::{Json, Parser, Scalar};
 
 /// One row of a report: a sweep point plus optional extra fields.
 #[derive(Debug, Clone)]
@@ -72,26 +71,6 @@ pub struct BenchRow {
     /// Extra named string fields (scenario axis names, algorithm names),
     /// appended after the numeric extras.
     pub labels: Vec<(String, String)>,
-}
-
-impl From<&SweepPoint> for BenchRow {
-    fn from(p: &SweepPoint) -> Self {
-        BenchRow {
-            k: p.k as u64,
-            trials: p.trials,
-            mean: p.mean(),
-            worst: p.worst(),
-            min: p.best(),
-            stddev: p.stddev(),
-            ci95: p.ci95(),
-            p50: p.p50(),
-            p90: p.p90(),
-            p99: p.p99(),
-            wall_ms: p.wall_ms(),
-            extra: Vec::new(),
-            labels: Vec::new(),
-        }
-    }
 }
 
 /// Float equality with all non-finite values identified: `null` in the
@@ -244,31 +223,6 @@ impl PartialEq for BenchReport {
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Minimal JSON string escaping: quotes, backslashes, and control
-/// characters (label values are short identifiers, but stay safe).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 impl BenchReport {
     /// An empty report for experiment `name` measured with `threads`
     /// worker threads. `name` becomes part of the file name — keep it
@@ -312,11 +266,6 @@ impl BenchReport {
         self.rows.push(row);
     }
 
-    /// Append a sweep point as a plain row.
-    pub fn push_point(&mut self, point: &SweepPoint) {
-        self.push(BenchRow::from(point));
-    }
-
     /// Number of rows so far.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -329,37 +278,29 @@ impl BenchReport {
 
     /// Serialize to the JSON format documented at the [module level](self).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"experiment\": {},\n", json_str(&self.name)));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!(
-            "  \"total_wall_ms\": {},\n",
-            json_f64(self.total_wall_ms)
-        ));
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"k\": {}, \"trials\": {}",
-                row.k, row.trials
-            ));
-            for (name, value) in row.metrics() {
-                out.push_str(&format!(", \"{}\": {}", name, json_f64(value)));
+        let rows = self.rows.iter().map(|row| {
+            let mut members = vec![
+                ("k".to_string(), Json::from(row.k)),
+                ("trials".to_string(), Json::from(row.trials)),
+            ];
+            for (name, v) in row.metrics() {
+                members.push((name.to_string(), Json::from(v)));
             }
-            for (key, value) in &row.extra {
-                out.push_str(&format!(", {}: {}", json_str(key), json_f64(*value)));
+            for (name, v) in &row.extra {
+                members.push((name.clone(), Json::from(*v)));
             }
-            for (key, value) in &row.labels {
-                out.push_str(&format!(", {}: {}", json_str(key), json_str(value)));
+            for (name, v) in &row.labels {
+                members.push((name.clone(), Json::from(v.as_str())));
             }
-            out.push('}');
-            if i + 1 < self.rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+            Json::Obj(members)
+        });
+        let report = Json::obj([
+            ("experiment", Json::from(self.name.as_str())),
+            ("threads", Json::from(self.threads)),
+            ("total_wall_ms", Json::from(self.total_wall_ms)),
+            ("rows", Json::Arr(rows.collect())),
+        ]);
+        format!("{report}\n")
     }
 
     /// Parse a report back from its JSON form.
@@ -369,7 +310,24 @@ impl BenchReport {
     /// fields become [`BenchRow::labels`], both in document order —
     /// exactly inverting [`BenchReport::to_json`]. `null` parses as NaN.
     pub fn from_json(input: &str) -> Result<BenchReport, String> {
-        Parser::new(input).parse_report()
+        let mut p = Parser::new(input);
+        let mut report = BenchReport::new(String::new(), 0);
+        p.object(|p, name| {
+            match name.as_str() {
+                "experiment" => report.name = p.parse_string()?,
+                "threads" => report.threads = p.parse_number()? as usize,
+                // Rows bypass push(), so the recorded total stands.
+                "total_wall_ms" => report.total_wall_ms = p.parse_number()?,
+                "rows" => p.array(|p| {
+                    report.rows.push(parse_row(p)?);
+                    Ok(())
+                })?,
+                other => return Err(p.err(&format!("unknown report field {other:?}"))),
+            }
+            Ok(())
+        })?;
+        p.finish("report")?;
+        Ok(report)
     }
 
     /// The file this report writes to: `RTAS_BENCH_DIR` (or `.`) joined
@@ -379,270 +337,41 @@ impl BenchReport {
         PathBuf::from(dir).join(format!("BENCH_{}.json", self.name))
     }
 
-    /// Write the report to [`BenchReport::path`], returning the path.
+    /// Write the report to [`BenchReport::path`], creating its
+    /// directory if missing, and return the path.
     pub fn write(&self) -> std::io::Result<PathBuf> {
         let path = self.path();
-        let mut file = std::fs::File::create(&path)?;
-        file.write_all(self.to_json().as_bytes())?;
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
 }
 
-/// Parse one **flat** JSON object of numeric fields — the shape tool
-/// surfaces like `rtas-svc stats --json` and `rtas-svc top --json`
-/// emit — into `(name, value)` pairs in document order.
-///
-/// Reuses the report parser, so strings, escapes, numbers and `null`
-/// (→ NaN) behave exactly as in [`BenchReport::from_json`]. String
-/// values, nested objects/arrays, and trailing data are errors: the
-/// scrapers built on this want numbers or a loud failure, never a
-/// silent partial parse.
-pub fn parse_json_object(input: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut p = Parser::new(input);
-    p.expect(b'{')?;
-    let mut out = Vec::new();
-    loop {
-        if p.peek() == Some(b'}') {
-            p.pos += 1;
-            break;
-        }
-        let key = p.parse_string()?;
-        p.expect(b':')?;
+fn parse_row(p: &mut Parser<'_>) -> Result<BenchRow, String> {
+    let mut row = BenchRow::empty(0, 0);
+    p.object(|p, name| {
         match p.parse_scalar()? {
-            Scalar::Num(v) => out.push((key, v)),
-            Scalar::Str(_) => return Err(p.err(&format!("field {key:?} is not numeric"))),
+            Scalar::Num(v) => match name.as_str() {
+                "k" => row.k = v as u64,
+                "trials" => row.trials = v as u64,
+                "mean" => row.mean = v,
+                "worst" => row.worst = v,
+                "min" => row.min = v,
+                "stddev" => row.stddev = v,
+                "ci95" => row.ci95 = v,
+                "p50" => row.p50 = v,
+                "p90" => row.p90 = v,
+                "p99" => row.p99 = v,
+                "wall_ms" => row.wall_ms = v,
+                _ => row.extra.push((name, v)),
+            },
+            Scalar::Str(s) => row.labels.push((name, s)),
         }
-        if p.peek() == Some(b',') {
-            p.pos += 1;
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after object"));
-    }
-    Ok(out)
-}
-
-/// One parsed JSON scalar: everything a report row can contain.
-enum Scalar {
-    Num(f64),
-    Str(String),
-}
-
-/// Hand-rolled recursive-descent parser for the report shape: objects,
-/// arrays, strings (with escapes), numbers, and `null`. Errors carry
-/// the byte offset.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-utf8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the full sequence through.
-                    let start = self.pos - 1;
-                    let len = if b < 0x80 {
-                        1
-                    } else if b >> 5 == 0b110 {
-                        2
-                    } else if b >> 4 == 0b1110 {
-                        3
-                    } else {
-                        4
-                    };
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| self.err("truncated utf8"))?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| self.err("invalid utf8"))?);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    /// A number or `null` (→ NaN).
-    fn parse_number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok(f64::NAN);
-        }
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
-    }
-
-    fn parse_scalar(&mut self) -> Result<Scalar, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Scalar::Str(self.parse_string()?)),
-            Some(_) => Ok(Scalar::Num(self.parse_number()?)),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn parse_row(&mut self) -> Result<BenchRow, String> {
-        self.expect(b'{')?;
-        let mut row = BenchRow::empty(0, 0);
-        loop {
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(row);
-            }
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            match self.parse_scalar()? {
-                Scalar::Num(v) => match key.as_str() {
-                    "k" => row.k = v as u64,
-                    "trials" => row.trials = v as u64,
-                    "mean" => row.mean = v,
-                    "worst" => row.worst = v,
-                    "min" => row.min = v,
-                    "stddev" => row.stddev = v,
-                    "ci95" => row.ci95 = v,
-                    "p50" => row.p50 = v,
-                    "p90" => row.p90 = v,
-                    "p99" => row.p99 = v,
-                    "wall_ms" => row.wall_ms = v,
-                    _ => row.extra.push((key, v)),
-                },
-                Scalar::Str(s) => row.labels.push((key, s)),
-            }
-            if self.peek() == Some(b',') {
-                self.pos += 1;
-            }
-        }
-    }
-
-    fn parse_report(&mut self) -> Result<BenchReport, String> {
-        self.expect(b'{')?;
-        let mut report = BenchReport::new(String::new(), 0);
-        let mut total_wall_ms = 0.0;
-        loop {
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                break;
-            }
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "experiment" => report.name = self.parse_string()?,
-                "threads" => report.threads = self.parse_number()? as usize,
-                "total_wall_ms" => total_wall_ms = self.parse_number()?,
-                "rows" => {
-                    self.expect(b'[')?;
-                    loop {
-                        if self.peek() == Some(b']') {
-                            self.pos += 1;
-                            break;
-                        }
-                        let row = self.parse_row()?;
-                        report.rows.push(row);
-                        if self.peek() == Some(b',') {
-                            self.pos += 1;
-                        }
-                    }
-                }
-                other => return Err(self.err(&format!("unknown report field {other:?}"))),
-            }
-            if self.peek() == Some(b',') {
-                self.pos += 1;
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing data after report"));
-        }
-        // The recorded total is authoritative — push() accrual would
-        // re-derive it, but parsing must preserve the document exactly.
-        report.total_wall_ms = total_wall_ms;
-        Ok(report)
-    }
+        Ok(())
+    })?;
+    Ok(row)
 }
 
 #[cfg(test)]
@@ -680,13 +409,6 @@ mod tests {
         assert!(json.contains("\"registers\": 17"));
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn non_finite_serializes_as_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(0.5), "0.5");
     }
 
     #[test]
@@ -776,36 +498,18 @@ mod tests {
         assert!(BenchReport::from_json("{\"bogus\": 1}").is_err());
         let valid = BenchReport::new("x", 1).to_json();
         assert!(BenchReport::from_json(&format!("{valid}trailing")).is_err());
-    }
-
-    #[test]
-    fn flat_objects_parse_to_ordered_numeric_pairs() {
-        let pairs =
-            parse_json_object("{\"keys\":1,\"ops\":2.5,\"p99\":null}").expect("valid object");
-        assert_eq!(pairs.len(), 3);
-        assert_eq!(pairs[0], ("keys".to_string(), 1.0));
-        assert_eq!(pairs[1], ("ops".to_string(), 2.5));
-        assert_eq!(pairs[2].0, "p99");
-        assert!(pairs[2].1.is_nan(), "null parses as NaN");
-        assert_eq!(parse_json_object("{}").unwrap(), vec![]);
-        // Whitespace-insensitive, like the report parser.
-        assert_eq!(
-            parse_json_object(" { \"a\" : 7 } ").unwrap(),
-            vec![("a".to_string(), 7.0)]
-        );
-    }
-
-    #[test]
-    fn flat_object_parser_rejects_strings_nesting_and_trailing_data() {
-        assert!(parse_json_object("").is_err());
-        assert!(parse_json_object("{\"a\":\"text\"}")
-            .unwrap_err()
-            .contains("not numeric"));
-        assert!(parse_json_object("{\"a\":{\"b\":1}}").is_err());
-        assert!(parse_json_object("{\"a\":[1]}").is_err());
-        assert!(parse_json_object("{\"a\":1}x")
-            .unwrap_err()
-            .contains("trailing"));
+        // Separators: every member and row needs its comma, and no
+        // comma may trail the last one.
+        let mut two = BenchReport::new("x", 1);
+        two.push(row(1));
+        two.push(row(2));
+        let json = two.to_json();
+        assert_eq!(BenchReport::from_json(&json).unwrap(), two);
+        assert!(BenchReport::from_json(&json.replace(",\n", "\n")).is_err());
+        assert!(BenchReport::from_json(&json.replacen("},\n", "}\n", 1)).is_err());
+        assert!(BenchReport::from_json(&json.replacen(", \"trials\"", " \"trials\"", 1)).is_err());
+        assert!(BenchReport::from_json(&json.replace("}\n  ]", "},\n  ]")).is_err());
+        assert!(BenchReport::from_json(&json.replace("  ]\n}", "  ],\n}")).is_err());
     }
 
     #[test]

@@ -1,31 +1,21 @@
-//! The statistics engine behind the experiment tables and `BENCH_*.json`
-//! reports.
+//! The statistics engine behind the experiment tables, the load
+//! harness's latency rows and the `BENCH_*.json` reports.
 //!
-//! Two layers live here:
-//!
-//! * [`StatsAccumulator`] — a streaming, mergeable accumulator producing
-//!   the *distributional* row statistics the paper's claims are actually
-//!   about (expected step complexity is a tail statement, not a point
-//!   mean): count, mean and variance via Welford's method, exact
-//!   min/max, p50/p90/p99 via a fixed-log-bin histogram, and a
-//!   normal-approximation 95% confidence half-width.
-//! * shape regressions — [`log_log_slope`] and [`correlation`], the tiny
-//!   least-squares helpers the experiment assertions use to check growth
-//!   *shapes* ("flat in k", "linear in k") rather than absolute
-//!   constants.
+//! [`StatsAccumulator`] is a streaming, mergeable accumulator producing
+//! the *distributional* row statistics the paper's claims are actually
+//! about (expected step complexity is a tail statement, not a point
+//! mean): count, mean and variance via Welford's method, exact min/max,
+//! p50/p90/p99 via a fixed-log-bin histogram, and a normal-approximation
+//! 95% confidence half-width. The log-bin scheme itself ([`bin_index`],
+//! [`bin_midpoint`], [`BINS`]) is shared with the metrics plane's
+//! lock-free [`Histogram`](crate::metrics::Histogram).
 //!
 //! # Degenerate-input policy
 //!
-//! All functions in this module follow one contract, asserted by tests:
-//!
-//! * **Structural misuse panics**: mismatched slice lengths, fewer than
-//!   two (usable) points, a degenerate *predictor* (zero variance in
-//!   `x`, where the question "how does y grow with x" is ill-posed), or
-//!   pushing a non-finite observation into an accumulator.
-//! * **Degenerate *response* data yields `0.0`**: flat `y` has no trend,
-//!   so [`correlation`] returns `0.0` and [`log_log_slope`] naturally
-//!   computes a zero slope. Queries on an *empty* accumulator return
-//!   `0.0` for every statistic (there is nothing to report).
+//! * **Structural misuse panics**: pushing a non-finite observation, or
+//!   asking for a quantile outside `[0, 1]`.
+//! * Queries on an *empty* accumulator return `0.0` for every statistic
+//!   (there is nothing to report).
 //!
 //! # Determinism and merging
 //!
@@ -37,9 +27,9 @@
 //! algebraically associative; for integer-valued observations below
 //! 2⁵³ (step counts — the common case) the sums involved are exact, and
 //! for general floats chunked merges agree with a serial fold to ~1e-12
-//! relative. The [`crate::runner`] keeps `BENCH_*.json` bit-identical at
-//! any thread count the stronger way: results are folded *in trial-index
-//! order* on one thread after the workers join.
+//! relative. The experiments' trial runner keeps `BENCH_*.json`
+//! bit-identical at any thread count the stronger way: results are
+//! folded *in trial-index order* on one thread after the workers join.
 
 /// Number of linear sub-bins per power-of-two octave. Eight sub-bins
 /// bound the histogram's relative quantile error by `1/16` (each bin
@@ -55,17 +45,17 @@ const MAX_EXP: i64 = 95;
 const OCTAVES: usize = (MAX_EXP - MIN_EXP + 1) as usize;
 
 /// Total histogram bins in the log-bin scheme ([`bin_index`] returns
-/// values in `0..BINS`). Public so other consumers — the `rtas-obs`
-/// metrics plane's lock-free latency histograms — can size their bin
-/// arrays to the exact same layout and stay merge-compatible with
-/// [`StatsAccumulator`]'s quantile semantics.
+/// values in `0..BINS`). Shared so the metrics plane's lock-free
+/// latency histograms size their bin arrays to the exact same layout
+/// and stay merge-compatible with [`StatsAccumulator`]'s quantile
+/// semantics.
 pub const BINS: usize = OCTAVES * SUB_BINS as usize;
 
 /// Histogram bin for a finite positive value: octave from the f64
 /// exponent bits, sub-bin from the top three mantissa bits. Pure bit
 /// arithmetic — no rounding-sensitive float ops — so binning is exactly
-/// reproducible everywhere. Public as the shared binning scheme behind
-/// both [`StatsAccumulator`] and the `rtas-obs` atomic histograms.
+/// reproducible everywhere. The shared binning scheme behind both
+/// [`StatsAccumulator`] and the metrics plane's atomic histograms.
 pub fn bin_index(v: f64) -> usize {
     debug_assert!(v.is_finite() && v > 0.0);
     let bits = v.to_bits();
@@ -351,133 +341,9 @@ pub struct Summary {
     pub p99: f64,
 }
 
-/// Least-squares slope of `ln y` against `ln x`.
-///
-/// Returns the estimated power-law exponent. Points with non-positive
-/// coordinates are skipped. Flat `y` yields slope `0.0` (a degenerate
-/// response is a valid "no growth" answer).
-///
-/// # Panics
-///
-/// Panics if fewer than two usable points remain, or if the usable `x`
-/// values are degenerate (zero variance) — see the module-level policy.
-pub fn log_log_slope(points: &[(f64, f64)]) -> f64 {
-    let logs: Vec<(f64, f64)> = points
-        .iter()
-        .filter(|&&(x, y)| x > 0.0 && y > 0.0)
-        .map(|&(x, y)| (x.ln(), y.ln()))
-        .collect();
-    assert!(logs.len() >= 2, "need at least two positive points");
-    let n = logs.len() as f64;
-    let sx: f64 = logs.iter().map(|p| p.0).sum();
-    let sy: f64 = logs.iter().map(|p| p.1).sum();
-    let sxx: f64 = logs.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = logs.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    assert!(denom.abs() > 1e-12, "x values are degenerate");
-    (n * sxy - sx * sy) / denom
-}
-
-/// Pearson correlation between `x` and `y`.
-///
-/// Flat `y` yields `0.0` (no trend in the response).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length, have fewer than two points,
-/// or if `x` is degenerate (zero variance) — see the module-level
-/// policy. Before this contract was harmonized, a degenerate `x`
-/// silently returned `0.0` while [`log_log_slope`] panicked on the same
-/// input.
-pub fn correlation(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "length mismatch");
-    assert!(x.len() >= 2, "need at least two points");
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for i in 0..x.len() {
-        let dx = x[i] - mx;
-        let dy = y[i] - my;
-        cov += dx * dy;
-        vx += dx * dx;
-        vy += dy * dy;
-    }
-    assert!(vx > 0.0, "x values are degenerate");
-    if vy == 0.0 {
-        return 0.0;
-    }
-    cov / (vx.sqrt() * vy.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slope_of_linear_data_is_one() {
-        let pts: Vec<(f64, f64)> = (1..=6).map(|k| (k as f64, 3.0 * k as f64)).collect();
-        assert!((log_log_slope(&pts) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn slope_of_quadratic_data_is_two() {
-        let pts: Vec<(f64, f64)> = (1..=6)
-            .map(|k| (k as f64, 0.5 * (k as f64).powi(2)))
-            .collect();
-        assert!((log_log_slope(&pts) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn slope_of_constant_data_is_zero() {
-        let pts: Vec<(f64, f64)> = (1..=6).map(|k| (k as f64, 7.0)).collect();
-        assert!(log_log_slope(&pts).abs() < 1e-9);
-    }
-
-    #[test]
-    fn slope_of_logarithmic_data_is_small() {
-        let pts: Vec<(f64, f64)> = (2..=64)
-            .step_by(8)
-            .map(|k| (k as f64, (k as f64).log2() + 5.0))
-            .collect();
-        let s = log_log_slope(&pts);
-        assert!(s > 0.0 && s < 0.5, "slope {s}");
-    }
-
-    #[test]
-    #[should_panic(expected = "two positive points")]
-    fn too_few_points_panics() {
-        let _ = log_log_slope(&[(1.0, 1.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "x values are degenerate")]
-    fn slope_with_degenerate_x_panics() {
-        let _ = log_log_slope(&[(3.0, 1.0), (3.0, 2.0), (3.0, 4.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "x values are degenerate")]
-    fn correlation_with_degenerate_x_panics() {
-        let x = [2.0, 2.0, 2.0];
-        let y = [1.0, 2.0, 3.0];
-        let _ = correlation(&x, &y);
-    }
-
-    #[test]
-    fn correlation_extremes() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y_pos = [2.0, 4.0, 6.0, 8.0];
-        let y_neg = [8.0, 6.0, 4.0, 2.0];
-        assert!((correlation(&x, &y_pos) - 1.0).abs() < 1e-9);
-        assert!((correlation(&x, &y_neg) + 1.0).abs() < 1e-9);
-        // Degenerate *response* (flat y) is a valid "no trend" answer,
-        // consistent with log_log_slope's zero slope on flat data.
-        let flat = [5.0, 5.0, 5.0, 5.0];
-        assert_eq!(correlation(&x, &flat), 0.0);
-    }
 
     #[test]
     fn empty_accumulator_reports_zeros() {

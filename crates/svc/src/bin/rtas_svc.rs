@@ -49,23 +49,8 @@ fn run_stats(args: &[String]) -> ExitCode {
         Ok(s) => {
             if parsed.json {
                 println!("{}", cli::stats_to_json(&s));
-            } else if parsed.raw {
-                println!(
-                    "keys {} | ops {} | wins {} | resets {} | registers {} | \
-                     reclaimed {} | conns {} | refused {}",
-                    s.keys, s.ops, s.wins, s.resets, s.registers, s.reclaimed, s.conns, s.refused
-                );
             } else {
-                for (name, value) in [
-                    ("keys", s.keys),
-                    ("ops", s.ops),
-                    ("wins", s.wins),
-                    ("resets", s.resets),
-                    ("registers", s.registers),
-                    ("reclaimed", s.reclaimed),
-                    ("conns", s.conns),
-                    ("refused", s.refused),
-                ] {
+                for (name, value) in s.fields() {
                     println!("{name:<10} {value}");
                 }
             }

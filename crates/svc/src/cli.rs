@@ -14,8 +14,10 @@
 
 use std::time::Duration;
 
+use rtas_obs::json::Json;
 use rtas_obs::TraceMode;
 
+use crate::protocol::SvcStats;
 use crate::server::SvcConfig;
 
 /// One `rtas-svc serve` flag: its spelling, value placeholder,
@@ -123,7 +125,7 @@ pub fn serve_usage() -> String {
         ));
     }
     out.push_str(
-        "       rtas-svc stats [--addr <host:port>] [--json | --raw | --metrics]\n\
+        "       rtas-svc stats [--addr <host:port>] [--json | --metrics]\n\
          \x20                                  print a server's counters (default named\n\
          \x20                                  fields; --metrics fetches the METRICS\n\
          \x20                                  exposition) and exit\n\
@@ -137,16 +139,11 @@ pub fn serve_usage() -> String {
     out
 }
 
-/// Render [`SvcStats`](crate::protocol::SvcStats) as one flat JSON
-/// object with numeric values — the `rtas-svc stats --json` output.
-/// Lives in the library so the bench harness can round-trip it
-/// (`rtas_bench::report::parse_json_object`) under test.
-pub fn stats_to_json(s: &crate::protocol::SvcStats) -> String {
-    format!(
-        "{{\"keys\":{},\"ops\":{},\"wins\":{},\"resets\":{},\"registers\":{},\
-         \"reclaimed\":{},\"conns\":{},\"refused\":{}}}",
-        s.keys, s.ops, s.wins, s.resets, s.registers, s.reclaimed, s.conns, s.refused
-    )
+/// Render [`SvcStats`] as one flat JSON object with numeric values —
+/// the `rtas-svc stats --json` output. Lives in the library so tests
+/// can round-trip it through [`rtas_obs::json::parse_json_object`].
+pub fn stats_to_json(s: &SvcStats) -> String {
+    Json::obj(s.fields().map(|(name, v)| (name, Json::from(v)))).to_string()
 }
 
 /// Parse `rtas-svc serve` arguments (everything after the subcommand)
@@ -227,21 +224,17 @@ pub struct StatsArgs {
     pub addr: String,
     /// Render the counters as one JSON object.
     pub json: bool,
-    /// Render the legacy single `a | b | c` line (the pre-9 default,
-    /// kept for scripts that scrape it).
-    pub raw: bool,
     /// Fetch the `METRICS` exposition instead of `STATS` and print it
     /// verbatim.
     pub metrics: bool,
 }
 
 /// Parse `rtas-svc stats` arguments: `--addr` plus at most one of
-/// `--json` / `--raw` / `--metrics`.
+/// `--json` / `--metrics`.
 pub fn parse_stats(args: &[String]) -> Result<StatsArgs, String> {
     let mut parsed = StatsArgs {
         addr: DEFAULT_ADDR.to_string(),
         json: false,
-        raw: false,
         metrics: false,
     };
     let mut iter = args.iter();
@@ -254,13 +247,12 @@ pub fn parse_stats(args: &[String]) -> Result<StatsArgs, String> {
                     .clone();
             }
             "--json" => parsed.json = true,
-            "--raw" => parsed.raw = true,
             "--metrics" => parsed.metrics = true,
             flag => return Err(format!("unknown argument {flag}")),
         }
     }
-    if usize::from(parsed.json) + usize::from(parsed.raw) + usize::from(parsed.metrics) > 1 {
-        return Err("--json, --raw and --metrics are mutually exclusive".to_string());
+    if parsed.json && parsed.metrics {
+        return Err("--json and --metrics are mutually exclusive".to_string());
     }
     Ok(parsed)
 }
@@ -410,17 +402,18 @@ mod tests {
     fn stats_parses_addr_and_one_output_selector() {
         let parsed = parse_stats(&[]).unwrap();
         assert_eq!(parsed.addr, DEFAULT_ADDR);
-        assert!(!parsed.json && !parsed.raw && !parsed.metrics);
+        assert!(!parsed.json && !parsed.metrics);
 
         let strs = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let parsed = parse_stats(&strs(&["--addr", "10.0.0.1:1", "--json"])).unwrap();
         assert_eq!(parsed.addr, "10.0.0.1:1");
         assert!(parsed.json);
-        assert!(parse_stats(&strs(&["--raw"])).unwrap().raw);
         assert!(parse_stats(&strs(&["--metrics"])).unwrap().metrics);
 
         assert!(parse_stats(&strs(&["--x"])).is_err());
-        let err = parse_stats(&strs(&["--json", "--raw"])).unwrap_err();
+        let err = parse_stats(&strs(&["--raw"])).unwrap_err();
+        assert!(err.contains("unknown argument"), "{err}");
+        let err = parse_stats(&strs(&["--json", "--metrics"])).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
     }
 
@@ -454,7 +447,7 @@ mod tests {
 
     #[test]
     fn stats_json_is_flat_and_numeric() {
-        let s = crate::protocol::SvcStats {
+        let s = SvcStats {
             keys: 1,
             ops: 2,
             wins: 3,
@@ -467,8 +460,8 @@ mod tests {
         let json = stats_to_json(&s);
         assert_eq!(
             json,
-            "{\"keys\":1,\"ops\":2,\"wins\":3,\"resets\":4,\"registers\":5,\
-             \"reclaimed\":6,\"conns\":7,\"refused\":8}"
+            "{\"keys\": 1, \"ops\": 2, \"wins\": 3, \"resets\": 4, \"registers\": 5, \
+             \"reclaimed\": 6, \"conns\": 7, \"refused\": 8}"
         );
     }
 

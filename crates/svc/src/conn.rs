@@ -380,20 +380,14 @@ pub(crate) fn execute_obs(
 /// observable, not silent), and the registry's named instruments sorted
 /// by name.
 fn render_metrics(namespace: &Namespace, gauges: &ConnGauges, obs: Option<&ConnObs<'_>>) -> String {
-    let stats = namespace.stats();
+    let mut stats = namespace.stats();
+    stats.conns = gauges.live();
+    stats.refused = gauges.refused();
     let mut out = String::with_capacity(1024);
     out.push_str(METRICS_HEADER);
     out.push('\n');
-    for (name, value) in [
-        ("svc.keys", stats.keys),
-        ("svc.ops", stats.ops),
-        ("svc.wins", stats.wins),
-        ("svc.resets", stats.resets),
-        ("svc.registers", stats.registers),
-        ("svc.reclaimed", stats.reclaimed),
-        ("svc.conns", gauges.live()),
-        ("svc.refused", gauges.refused()),
-    ] {
+    for (name, value) in stats.fields() {
+        out.push_str("svc.");
         out.push_str(name);
         out.push(' ');
         out.push_str(&value.to_string());

@@ -150,6 +150,23 @@ pub struct SvcStats {
     pub refused: u64,
 }
 
+impl SvcStats {
+    /// The eight counters as `(name, value)` pairs in wire order: the one
+    /// list behind the `STATS` body, the `svc.*` metrics and `rtas-svc stats`.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        [
+            ("keys", self.keys),
+            ("ops", self.ops),
+            ("wins", self.wins),
+            ("resets", self.resets),
+            ("registers", self.registers),
+            ("reclaimed", self.reclaimed),
+            ("conns", self.conns),
+            ("refused", self.refused),
+        ]
+    }
+}
+
 /// A decoded request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request<'a> {
@@ -283,16 +300,7 @@ pub fn frame_response_span(resp: &Response, span: u64, buf: &mut Vec<u8>) {
         }
         Response::Stats(s) => {
             buf.push(STATUS_STATS);
-            for v in [
-                s.keys,
-                s.ops,
-                s.wins,
-                s.resets,
-                s.registers,
-                s.reclaimed,
-                s.conns,
-                s.refused,
-            ] {
+            for (_, v) in s.fields() {
                 buf.extend_from_slice(&v.to_le_bytes());
             }
         }

@@ -18,6 +18,7 @@
 
 use std::fmt::Write as _;
 
+use rtas_obs::json::Json;
 use rtas_obs::parse_metrics;
 
 use crate::cli::TopArgs;
@@ -104,16 +105,6 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Render a metric value: integers without a decimal point, everything
-/// else as Rust's shortest round-trip float.
-fn fmt_num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9e15 {
-        format!("{v:.0}")
-    } else {
-        format!("{v}")
-    }
-}
-
 /// Render one `top` frame. With a previous sample the counter line
 /// shows per-second rates; without one (the first frame, or `--once`)
 /// it shows cumulative totals, labeled as such.
@@ -137,7 +128,7 @@ pub fn render_top(addr: &str, prev: Option<&TopSample>, cur: &TopSample) -> Stri
                 .iter()
                 .map(|(name, label)| {
                     let total = value(&cur.pairs, name).unwrap_or(0.0);
-                    format!("{} {}", label.trim_end_matches("/s"), fmt_num(total))
+                    format!("{} {total}", label.trim_end_matches("/s"))
                 })
                 .collect();
             let _ = writeln!(out, "  totals: {}", cells.join("   "));
@@ -145,7 +136,7 @@ pub fn render_top(addr: &str, prev: Option<&TopSample>, cur: &TopSample) -> Stri
     }
 
     // Instantaneous gauges.
-    let gauge = |name: &str| value(&cur.pairs, name).map_or_else(|| "?".into(), fmt_num);
+    let gauge = |name: &str| value(&cur.pairs, name).map_or_else(|| "?".into(), |v| v.to_string());
     let _ = writeln!(
         out,
         "  conns {}   keys {}   registers {}",
@@ -159,7 +150,7 @@ pub fn render_top(addr: &str, prev: Option<&TopSample>, cur: &TopSample) -> Stri
         let Some(slab) = value(&cur.pairs, &format!("reactor.worker{k}.slab_live")) else {
             break;
         };
-        let _ = writeln!(out, "  worker{k}: slab_live {}", fmt_num(slab));
+        let _ = writeln!(out, "  worker{k}: slab_live {slab}");
     }
 
     // Stage latency panel: p50 sparkline across stages (scaled to the
@@ -181,7 +172,7 @@ pub fn render_top(addr: &str, prev: Option<&TopSample>, cur: &TopSample) -> Stri
             let _ = writeln!(
                 out,
                 "    {label:<8} n {:<8} p50 {:<8} p90 {:<8} p99 {}",
-                fmt_num(q("count")),
+                q("count"),
                 fmt_ns(q("p50")),
                 fmt_ns(q("p90")),
                 fmt_ns(q("p99")),
@@ -197,7 +188,7 @@ pub fn render_top(addr: &str, prev: Option<&TopSample>, cur: &TopSample) -> Stri
             let lane = name
                 .strip_prefix("trace.")?
                 .strip_suffix(".dropped_events")?;
-            Some(format!("{lane} {}", fmt_num(*v)))
+            Some(format!("{lane} {v}"))
         })
         .collect();
     if !drops.is_empty() {
@@ -210,15 +201,12 @@ pub fn render_top(addr: &str, prev: Option<&TopSample>, cur: &TopSample) -> Stri
 /// under its exposition name. The `--once --json` contract scripts
 /// scrape; names are the stable `METRICS` names, values are numbers.
 pub fn render_top_json(cur: &TopSample) -> String {
-    let mut out = String::from("{");
-    for (i, (name, v)) in cur.pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{name}\":{}", fmt_num(*v));
-    }
-    out.push_str("}\n");
-    out
+    let frame = Json::obj(
+        cur.pairs
+            .iter()
+            .map(|(name, v)| (name.as_str(), Json::from(*v))),
+    );
+    format!("{frame}\n")
 }
 
 /// The `rtas-svc top` loop: connect once, then scrape/render/sleep
@@ -329,10 +317,12 @@ mod tests {
     #[test]
     fn json_frames_are_flat_objects_of_verbatim_metric_names() {
         let cur = sample(0, &[("svc.ops", 2.0), ("stage.read_ns.p50", 812.5)]);
-        assert_eq!(
-            render_top_json(&cur),
-            "{\"svc.ops\":2,\"stage.read_ns.p50\":812.5}\n"
-        );
+        let json = render_top_json(&cur);
+        assert_eq!(json, "{\"svc.ops\": 2, \"stage.read_ns.p50\": 812.5}\n");
+        // `parse_json_object` reads the frame back: same names, values
+        // and order.
+        let parsed = rtas_obs::json::parse_json_object(&json).expect("top --json parses");
+        assert_eq!(parsed, cur.pairs);
     }
 
     #[test]

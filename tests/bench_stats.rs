@@ -5,9 +5,9 @@
 //! on.
 
 use rtas::sim::rng::SplitMix64;
-use rtas_bench::report::{BenchReport, BenchRow};
 use rtas_bench::runner::TrialRunner;
-use rtas_bench::stats::StatsAccumulator;
+use rtas_svc::obs::report::{BenchReport, BenchRow};
+use rtas_svc::obs::stats::StatsAccumulator;
 
 /// Exact nearest-rank quantile of a sorted sample (the definition the
 /// histogram estimator approximates).

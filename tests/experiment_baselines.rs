@@ -10,9 +10,9 @@
 use std::path::Path;
 
 use rtas_bench::experiments::{bench_report, IDS};
-use rtas_bench::report::{BenchReport, BenchRow};
 use rtas_bench::runner::TrialRunner;
 use rtas_bench::Scale;
+use rtas_svc::obs::report::{BenchReport, BenchRow};
 
 /// The row without its wall-clock cost.
 fn timeless(row: &BenchRow) -> BenchRow {

@@ -186,7 +186,7 @@ fn drop_heavy_chaos_traced_on_both_tiers_merges_and_audits_clean() {
 #[test]
 fn stats_json_round_trips_through_the_bench_report_parser() {
     // `rtas-svc stats --json` emits a flat object via `stats_to_json`;
-    // `rtas_bench::report::parse_json_object` is the programmatic
+    // `rtas_obs::json::parse_json_object` is the programmatic
     // consumer. The round trip pins both the field set and the order.
     let srv = Server::spawn(SvcConfig::default()).expect("bind loopback");
     let addr = srv.addr().to_string();
@@ -198,7 +198,7 @@ fn stats_json_round_trips_through_the_bench_report_parser() {
     }
     let stats = client.stats().expect("STATS");
     let json = rtas_svc::cli::stats_to_json(&stats);
-    let pairs = rtas_bench::report::parse_json_object(&json).expect("flat JSON parses");
+    let pairs = rtas_svc::obs::json::parse_json_object(&json).expect("flat JSON parses");
     let names: Vec<&str> = pairs.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(
         names,
