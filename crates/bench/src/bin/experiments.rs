@@ -23,7 +23,12 @@
 //! p50/p90/p99) plus wall-clock — to `RTAS_BENCH_DIR` (default: current
 //! directory) so the simulator's perf trajectory is tracked across PRs
 //! and gated by the `bench-diff` binary against the committed
-//! `baselines/`. Pass `--no-json` to skip the files.
+//! `baselines/`. Pass `--no-json` to skip the files. A report that
+//! cannot be written fails the run: the binary finishes every
+//! experiment, then exits 2, so a gate never passes on reports that
+//! were never written.
+
+use std::process::ExitCode;
 
 use rtas_bench::experiments;
 use rtas_bench::runner::TrialRunner;
@@ -31,14 +36,30 @@ use rtas_bench::scenarios;
 use rtas_bench::Scale;
 use rtas_obs::report::BenchReport;
 
-fn write_report(report: BenchReport) {
+/// Write `report`; `false` (after saying why) if it could not be.
+fn write_report(report: BenchReport) -> bool {
     match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write {}: {err}", report.path().display()),
+        Ok(path) => {
+            println!("wrote {}", path.display());
+            true
+        }
+        Err(err) => {
+            eprintln!("failed to write {}: {err}", report.path().display());
+            false
+        }
     }
 }
 
-fn main() {
+/// Exit 0 when every report was written, 2 otherwise.
+fn exit_code(written: bool) -> ExitCode {
+    if written {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(2)
+    }
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
     let no_json = args.iter().any(|a| a == "--no-json");
@@ -80,7 +101,7 @@ fn main() {
         for cell in scenarios::grid(k) {
             println!("  {}", cell.name());
         }
-        return;
+        return ExitCode::SUCCESS;
     }
     if let Some(name) = scenario_name {
         let k = experiments::e11_contention(scale);
@@ -89,16 +110,16 @@ fn main() {
             std::process::exit(2);
         };
         let rows = experiments::e11_cells(scale, &runner, std::slice::from_ref(&cell), k);
-        if !no_json {
-            // A distinct file name, so drilling into one cell never
-            // clobbers the full-grid BENCH_scenario_grid.json.
-            write_report(experiments::report_from_rows(
-                "scenario_cell",
-                runner.threads(),
-                rows.iter().map(|r| r.bench_row()),
-            ));
-        }
-        return;
+        // A distinct file name, so drilling into one cell never
+        // clobbers the full-grid BENCH_scenario_grid.json.
+        return exit_code(
+            no_json
+                || write_report(experiments::report_from_rows(
+                    "scenario_cell",
+                    runner.threads(),
+                    rows.iter().map(|r| r.bench_row()),
+                )),
+        );
     }
 
     let run = |id: &str| wanted.is_empty() || wanted.contains(&id);
@@ -107,13 +128,15 @@ fn main() {
         "randomized test-and-set reproduction — experiments (scale: {scale:?}, threads: {})",
         runner.threads()
     );
+    let mut written = true;
     for id in experiments::IDS {
         if run(id) {
             let report = experiments::bench_report(id, scale, &runner)
                 .expect("every listed experiment has a report");
             if !no_json {
-                write_report(report);
+                written &= write_report(report);
             }
         }
     }
+    exit_code(written)
 }

@@ -573,6 +573,14 @@ mod tests {
     ];
 
     #[test]
+    fn backend_labels_round_trip() {
+        for backend in BACKENDS {
+            assert_eq!(Backend::parse(backend.label()), Some(backend));
+        }
+        assert_eq!(Backend::parse("nope"), None);
+    }
+
+    #[test]
     fn solo_elect_wins_every_backend() {
         for backend in BACKENDS {
             let le = LeaderElection::with_backend(backend, 4);

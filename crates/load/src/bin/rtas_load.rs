@@ -25,8 +25,7 @@
 //!   --conns <n>       remote backend only: hold n total connections open
 //!                     across the worker fleet, round-robining operations
 //!                     over them (the C10K posture; requires n to be a
-//!                     multiple of threads, incompatible with --chaos);
-//!                     reports as svc_c10k
+//!                     multiple of threads); reports as svc_c10k
 //!   --slo-p50 <us>    fail (exit 1) if overall p50 exceeds this
 //!   --slo-p99 <us>    fail (exit 1) if overall p99 exceeds this
 //!   --chaos <spec>    remote backend only: inject deterministic faults —
@@ -46,7 +45,8 @@
 //!
 //! Prints a per-shard table (ops, throughput, latency quantiles in
 //! microseconds) and writes `BENCH_native_load.json` — or, with
-//! `--backend remote`, `BENCH_svc_load.json` — to `RTAS_BENCH_DIR`
+//! `--backend remote`, `BENCH_svc_load.json` (`svc_c10k` with `--conns`,
+//! `svc_chaos` with `--chaos`) — to `RTAS_BENCH_DIR`
 //! (default: current directory; created if missing) through the
 //! `rtas_obs` report machinery. The same `--seed` in open-loop mode
 //! offers a bit-identical arrival schedule on every run, local or
@@ -57,11 +57,8 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use rtas_load::chaos::run_load_chaos_traced;
-use rtas_load::driver::{
-    backend_label, default_shards, parse_backend, run_load, LoadSpec, Mode, Slo, Warmup,
-};
-use rtas_load::remote::run_load_remote_traced;
+use rtas_load::driver::{default_shards, run_load, LoadSpec, Mode, Slo, TargetKind, Warmup};
+use rtas_load::remote::{run_load_remote, scrape_svc_extras};
 use rtas_svc::chaos::{ChaosSpec, FaultPlan};
 use rtas_svc::obs::FlightRecorder;
 use rtas_svc::TraceMode;
@@ -122,7 +119,7 @@ fn main() -> ExitCode {
                 if v == "remote" {
                     remote = true;
                 } else {
-                    backend = parse_backend(v).unwrap_or_else(|| {
+                    backend = rtas::Backend::parse(v).unwrap_or_else(|| {
                         eprintln!(
                             "error: unknown backend {v:?} \
                              (logstar|loglog|ratrace|combined|remote)"
@@ -215,10 +212,6 @@ fn main() -> ExitCode {
             eprintln!("error: --conns only applies to --backend remote");
             usage();
         }
-        if chaos.is_some() {
-            eprintln!("error: --conns is incompatible with --chaos");
-            usage();
-        }
         if c < threads || c % threads != 0 {
             eprintln!(
                 "error: --conns ({c}) must be a positive multiple of \
@@ -268,11 +261,7 @@ fn main() -> ExitCode {
         warmup,
         conns,
     };
-    let backend_name = if remote {
-        "remote"
-    } else {
-        backend_label(backend)
-    };
+    let backend_name = if remote { "remote" } else { backend.label() };
     println!(
         "rtas-load: backend={backend_name}{} mode={} threads={threads} shards={shards} \
          group={} seed={seed}{}{}{}",
@@ -290,49 +279,39 @@ fn main() -> ExitCode {
         },
     );
     let mut chaos_summary: Option<String> = None;
-    let mut out = if let Some(chaos_spec) = chaos_spec {
-        println!("rtas-load: chaos spec={chaos_spec} seed={chaos_seed}");
-        let plan = FaultPlan::new(chaos_spec, chaos_seed);
-        match run_load_chaos_traced(addr.as_deref().unwrap(), spec, plan, recorder.clone()) {
-            Ok(chaos_out) => {
-                let c = chaos_out.counts;
-                let winners: usize = chaos_out.winners.iter().map(Vec::len).sum();
-                chaos_summary = Some(format!(
-                    "chaos | {} faults injected | delays {} | drops {} | \
-                     truncations {} | reorders {} | stalls {} | skipped resets {} | \
-                     dup resets {} | timeouts {} | retries {} | reconnects {} | \
-                     reclaimed {} | winner epochs {winners} (one winner each)",
-                    c.injected(),
-                    c.delays,
-                    c.drops,
-                    c.truncations,
-                    c.reorders,
-                    c.stalls,
-                    c.skipped_resets,
-                    c.dup_resets,
-                    c.timeouts,
-                    c.retries,
-                    c.reconnects,
-                    chaos_out.reclaimed,
-                ));
-                chaos_out.outcome
+    let mut out = if let Some(addr) = addr.as_deref() {
+        let plan = chaos_spec.map(|chaos_spec| {
+            println!("rtas-load: chaos spec={chaos_spec} seed={chaos_seed}");
+            FaultPlan::new(chaos_spec, chaos_seed)
+        });
+        match run_load_remote(addr, spec, plan, recorder.clone()) {
+            Ok(run) => {
+                if run.outcome.target == TargetKind::Chaos {
+                    let c = run.counts;
+                    let winners: usize = run.winners.iter().map(Vec::len).sum();
+                    chaos_summary = Some(format!(
+                        "chaos | {} faults injected | delays {} | drops {} | \
+                         truncations {} | reorders {} | stalls {} | skipped resets {} | \
+                         dup resets {} | timeouts {} | retries {} | reconnects {} | \
+                         reclaimed {} | winner epochs {winners} (one winner each)",
+                        c.injected(),
+                        c.delays,
+                        c.drops,
+                        c.truncations,
+                        c.reorders,
+                        c.stalls,
+                        c.skipped_resets,
+                        c.dup_resets,
+                        c.timeouts,
+                        c.retries,
+                        c.reconnects,
+                        run.reclaimed,
+                    ));
+                }
+                run.outcome
             }
             Err(err) => {
-                eprintln!(
-                    "rtas-load: cannot drive {}: {err}",
-                    addr.as_deref().unwrap()
-                );
-                return ExitCode::from(2);
-            }
-        }
-    } else if remote {
-        match run_load_remote_traced(addr.as_deref().unwrap(), spec, recorder.clone()) {
-            Ok(out) => out,
-            Err(err) => {
-                eprintln!(
-                    "rtas-load: cannot drive {}: {err}",
-                    addr.as_deref().unwrap()
-                );
+                eprintln!("rtas-load: cannot drive {addr}: {err}");
                 return ExitCode::from(2);
             }
         }
@@ -351,16 +330,15 @@ fn main() -> ExitCode {
             }
         }
     }
-    if remote {
+    if let Some(addr) = addr.as_deref() {
         // Server-side observability: fold the curated svc_* extras from
         // the METRICS exposition into the report's total row. A failed
         // scrape costs a warning, never the finished run.
-        match rtas_load::remote::scrape_svc_extras(addr.as_deref().unwrap()) {
+        match scrape_svc_extras(addr) {
             Ok(extras) => out.svc_extras = extras,
             Err(e) => eprintln!(
-                "rtas-load: warning: metrics scrape from {} failed ({e}); \
-                 svc_* report extras omitted",
-                addr.as_deref().unwrap()
+                "rtas-load: warning: metrics scrape from {addr} failed ({e}); \
+                 svc_* report extras omitted"
             ),
         }
     }
@@ -397,10 +375,10 @@ fn main() -> ExitCode {
         overall.p99,
     );
     if let Some(summary) = &chaos_summary {
-        // Under chaos, local wins legitimately diverge from resolution
+        // Under chaos, wins legitimately diverge from resolution
         // counts (skipped acks strand losing epochs; reclaims split
-        // one local epoch across two server epochs). The one-winner
-        // bar is enforced fail-fast inside the chaos target instead.
+        // one epoch across two server epochs). The one-winner bar is
+        // enforced fail-fast inside the remote target instead.
         println!("{summary}");
     } else {
         assert_eq!(

@@ -29,11 +29,24 @@
 //!   hidden (no coordinated omission).
 //!
 //! Both disciplines assign every epoch of every shard exactly `group =
-//! threads / shards` operations, which is what makes the epoch-recycling
-//! protocols deadlock-free: within any window of `threads` consecutive
-//! arrival indices, each worker appears exactly once and each shard
-//! exactly `group` times, so the workers march through epoch rounds
-//! together and every epoch's participants eventually show up.
+//! threads / shards` operations, which is what makes the epoch protocol
+//! deadlock-free: within any window of `threads` consecutive arrival
+//! indices, each worker appears exactly once and each shard exactly
+//! `group` times, so the workers march through epoch rounds together
+//! and every epoch's participants eventually show up.
+//!
+//! **The epoch protocol.** The paper's objects are one-shot, so every
+//! run recycles them by epochs, and one gate per shard, built fresh for
+//! each run, is the whole client-side protocol for every target. A
+//! participant of epoch `e` spins (then yields) until the shard's open
+//! epoch reads `e` with acquire ordering, runs
+//! [`LoadTarget::acquire`], and counts itself done; the epoch's **last
+//! finisher** calls [`LoadTarget::recycle`] — the arena's reset, or a
+//! remote target's `RESET` ack — and opens epoch `e + 1` with a release
+//! store. The recycle therefore happens-before every next-epoch
+//! operation. Because the gate starts at epoch 0 on every run and every
+//! run ends with each shard recycled, a target can be driven again
+//! without any epoch offset.
 //!
 //! **Warmup.** [`Warmup::Ops`] (closed loop) runs a fixed count of
 //! unrecorded operations per worker, then releases the measured
@@ -48,10 +61,11 @@
 //!
 //! [`TasArena`]: crate::arena::TasArena
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use rtas::native::NativeRunner;
+use rtas::sync::{Backoff, CachePadded};
 use rtas::Backend;
 use rtas_obs::report::{BenchReport, BenchRow};
 
@@ -60,17 +74,18 @@ use crate::recorder::LoadRecorder;
 use crate::schedule::ArrivalSchedule;
 
 /// Anything the driver can aim traffic at: a sharded pool of
-/// epoch-recycled arbitration objects, resolved by `(shard, epoch)`
-/// coordinates.
+/// recyclable arbitration objects. The driver's epoch gate (see the
+/// [module docs](self)) decides who acquires when and who recycles;
+/// a target only performs the two operations.
 ///
 /// Implementations: [`TasArena`] (in-process atomics) and
 /// [`crate::remote::RemoteTarget`] (an `rtas-svc` server over TCP).
 /// Workers are handed one [`LoadTarget::Ctx`] per *life* — a reused
-/// runner and its frame stack for the arena, a connection for the remote
+/// runner and its frame stack for the arena, connections for the remote
 /// target — so the per-operation path stays allocation- and
 /// connect-free.
 pub trait LoadTarget: Sync {
-    /// Per-worker-life state threaded through every resolve call.
+    /// Per-worker-life state threaded through every call.
     type Ctx: Send;
 
     /// Number of shards traffic is striped over.
@@ -79,51 +94,89 @@ pub trait LoadTarget: Sync {
     /// Participants per epoch on every shard.
     fn group(&self) -> usize;
 
-    /// Each shard's currently open epoch — the offsets a driver must
-    /// add so a reused target continues instead of colliding with
-    /// completed epochs.
-    fn base_epochs(&self) -> Vec<u64>;
-
     /// Fresh per-life context (for remote targets this opens the
-    /// connection). Called from the **main** thread for the initial
+    /// connections). Called from the **main** thread for the initial
     /// fleet — so a connect failure panics there and aborts the run
     /// before any traffic or barrier is in flight — and from worker
     /// threads for churn respawns.
     fn context(&self) -> Self::Ctx;
 
-    /// Perform one operation of `epoch` on `shard`; `true` iff this
-    /// call won its resolution.
-    fn resolve(&self, ctx: &mut Self::Ctx, shard: usize, epoch: u64) -> bool;
+    /// One operation on `shard`'s open epoch; `true` iff it won.
+    fn acquire(&self, ctx: &mut Self::Ctx, shard: usize) -> bool;
+
+    /// Recycle `shard` after its epoch `epoch` (the gate's count, from
+    /// 0 each run) closed: every call of the epoch has returned.
+    fn recycle(&self, ctx: &mut Self::Ctx, shard: usize, epoch: u64);
 
     /// Registers backing the target's object pool (0 if unknown).
     fn registers(&self) -> u64;
 }
 
-impl LoadTarget for TasArena {
-    type Ctx = NativeRunner;
+/// One shard's epoch header.
+#[derive(Debug, Default)]
+struct ShardGate {
+    /// The open epoch: stored with `Release` by the finisher after its
+    /// recycle, read with `Acquire` by entrants.
+    epoch: AtomicU64,
+    /// Completed calls within the open epoch (`0..=group`).
+    done: AtomicUsize,
+}
 
-    fn shards(&self) -> usize {
-        TasArena::shards(self)
+/// The client-side epoch protocol over one target for one run (see the
+/// [module docs](self)).
+struct EpochGate<'t, T> {
+    target: &'t T,
+    group: usize,
+    shards: Vec<CachePadded<ShardGate>>,
+}
+
+impl<'t, T: LoadTarget> EpochGate<'t, T> {
+    fn new(target: &'t T) -> Self {
+        EpochGate {
+            target,
+            group: target.group(),
+            shards: (0..target.shards())
+                .map(|_| CachePadded(ShardGate::default()))
+                .collect(),
+        }
     }
 
-    fn group(&self) -> usize {
-        TasArena::group(self)
-    }
-
-    fn base_epochs(&self) -> Vec<u64> {
-        (0..TasArena::shards(self)).map(|s| self.epoch(s)).collect()
-    }
-
-    fn context(&self) -> NativeRunner {
-        NativeRunner::new()
-    }
-
-    fn resolve(&self, ctx: &mut NativeRunner, shard: usize, epoch: u64) -> bool {
-        TasArena::resolve(self, shard, epoch, ctx)
-    }
-
-    fn registers(&self) -> u64 {
-        TasArena::registers(self)
+    /// One operation of `epoch` on `shard`: wait for the epoch to open,
+    /// acquire, and — as the epoch's last finisher — recycle and open
+    /// the next epoch. `true` iff this call won.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epoch` has already closed: the open epoch only
+    /// advances, so waiting for the past would spin forever.
+    fn resolve(&self, ctx: &mut T::Ctx, shard: usize, epoch: u64) -> bool {
+        let gate = &self.shards[shard].0;
+        // Spin briefly, then yield: workloads with more workers than
+        // cores must not livelock the finisher out of its recycle.
+        let mut backoff = Backoff::new();
+        loop {
+            let open = gate.epoch.load(Ordering::Acquire);
+            if open == epoch {
+                break;
+            }
+            assert!(
+                open < epoch,
+                "epoch {epoch} already closed (shard {shard} is at {open})"
+            );
+            backoff.snooze();
+        }
+        let won = self.target.acquire(ctx, shard);
+        if gate.done.fetch_add(1, Ordering::AcqRel) + 1 == self.group {
+            // Every call of this epoch has returned: the shard is
+            // quiescent. Recycle it, then publish the recycle to the
+            // next epoch's participants.
+            self.target.recycle(ctx, shard, epoch);
+            // Both stores are published by the release store below,
+            // which every next-epoch entrant reads with acquire.
+            gate.done.store(0, Ordering::Relaxed);
+            gate.epoch.store(epoch + 1, Ordering::Release);
+        }
+        won
     }
 }
 
@@ -181,13 +234,16 @@ pub enum Warmup {
 pub enum TargetKind {
     /// In-process [`TasArena`]: `BENCH_native_load.json`.
     Native,
-    /// Remote `rtas-svc` server: `BENCH_svc_load.json`.
+    /// Remote `rtas-svc` server on the clean plan:
+    /// `BENCH_svc_load.json`.
     Remote,
-    /// Remote server behind the deterministic fault-injection layer
-    /// (see [`crate::chaos`]): `BENCH_svc_chaos.json`.
+    /// Remote server under a `--chaos` fault plan (see
+    /// [`crate::remote`]), with or without a fan-out:
+    /// `BENCH_svc_chaos.json`.
     Chaos,
-    /// Remote server driven through a held-open connection fan-out
-    /// ([`LoadSpec::conns`] — the C10K posture): `BENCH_svc_c10k.json`.
+    /// Remote server on the clean plan, driven through a held-open
+    /// connection fan-out ([`LoadSpec::conns`] — the C10K posture):
+    /// `BENCH_svc_c10k.json`.
     C10k,
 }
 
@@ -346,7 +402,7 @@ impl LoadOutcome {
     /// own algorithm).
     pub fn backend_name(&self) -> &'static str {
         match self.target {
-            TargetKind::Native => backend_label(self.spec.backend),
+            TargetKind::Native => self.spec.backend.label(),
             TargetKind::Remote | TargetKind::C10k => "remote",
             TargetKind::Chaos => "chaos",
         }
@@ -475,13 +531,6 @@ impl Slo {
     }
 }
 
-/// The report label for a backend, stable across PRs (used as a
-/// `BENCH_*.json` row label and a CLI flag value) — [`Backend::label`],
-/// re-exported under the harness's historical name.
-pub fn backend_label(backend: Backend) -> &'static str {
-    backend.label()
-}
-
 /// The default shard count for a worker fleet: the largest divisor of
 /// `threads` no bigger than half of it (groups of ≥ 2 where possible),
 /// falling back to 1 — so the result always satisfies
@@ -491,12 +540,6 @@ pub fn default_shards(threads: usize) -> usize {
         .rev()
         .find(|s| threads % s == 0)
         .unwrap_or(1)
-}
-
-/// Parse a [`backend_label`] back into a [`Backend`]
-/// ([`Backend::parse`] under the harness's historical name).
-pub fn parse_backend(label: &str) -> Option<Backend> {
-    Backend::parse(label)
 }
 
 /// Run the specified workload on a fresh arena.
@@ -519,22 +562,23 @@ pub fn run_load(spec: LoadSpec) -> LoadOutcome {
 
 /// Run the specified workload on an existing arena (benches reuse one
 /// arena across samples so constructor cost stays out of the measured
-/// section). The arena's shard count and group must match the spec.
+/// section; every run leaves each shard recycled). The arena's shard
+/// count and group must match the spec.
 pub fn run_load_on(arena: &TasArena, spec: LoadSpec) -> LoadOutcome {
     spec.validate();
-    assert_eq!(arena.shards(), spec.shards, "arena/spec shard mismatch");
-    assert_eq!(arena.group(), spec.group(), "arena/spec group mismatch");
     run_on_target(arena, spec, TargetKind::Native)
 }
 
 /// Run the specified workload on any [`LoadTarget`]. The caller must
-/// have validated the spec against the target (see [`run_load_on`] and
+/// have validated the spec (see [`run_load_on`] and
 /// [`crate::remote::run_load_remote`], the public faces).
 pub(crate) fn run_on_target<T: LoadTarget>(
     target: &T,
     spec: LoadSpec,
     kind: TargetKind,
 ) -> LoadOutcome {
+    assert_eq!(target.shards(), spec.shards, "target/spec shard mismatch");
+    assert_eq!(target.group(), spec.group(), "target/spec group mismatch");
     let registers = target.registers();
     let (recorder, warmup, wall) = match spec.mode {
         Mode::Closed { total_ops } => {
@@ -636,7 +680,7 @@ fn run_closed<T: LoadTarget>(
     churn: Option<u64>,
 ) -> (LoadRecorder, WarmupTally, Duration) {
     let shards = target.shards();
-    let bases = target.base_epochs();
+    let gate = EpochGate::new(target);
     // Initial-fleet contexts are created HERE, before any thread or
     // barrier exists: a remote target's connect failure aborts the run
     // with a clean panic instead of stranding a half-spawned fleet.
@@ -649,20 +693,19 @@ fn run_closed<T: LoadTarget>(
             .into_iter()
             .enumerate()
             .map(|(slot, ctx)| {
-                let bases = &bases;
+                let gate = &gate;
                 let barrier = &barrier;
                 s.spawn(move || {
                     let mut ctx = ctx;
                     let mut rendezvous = Rendezvous::new(barrier);
                     let shard = slot % shards;
-                    let warm_base = bases[shard];
                     let mut recorder = LoadRecorder::new(shards);
                     let mut warmup = WarmupTally::default();
                     for j in 0..warmup_per_worker {
-                        warmup.record(target.resolve(&mut ctx, shard, warm_base + j));
+                        warmup.record(gate.resolve(&mut ctx, shard, j));
                     }
                     rendezvous.arrive();
-                    let base = warm_base + warmup_per_worker;
+                    let base = warmup_per_worker;
                     let mut next_op = 0u64;
                     while next_op < ops_per_worker {
                         // One worker *life*: without churn, all remaining
@@ -674,7 +717,7 @@ fn run_closed<T: LoadTarget>(
                         let run_life = |recorder: &mut LoadRecorder, ctx: &mut T::Ctx| {
                             for j in next_op..next_op + len {
                                 let t0 = Instant::now();
-                                let won = target.resolve(ctx, shard, base + j);
+                                let won = gate.resolve(ctx, shard, base + j);
                                 recorder.record(shard, t0.elapsed().as_secs_f64() * 1e6, won);
                             }
                         };
@@ -719,7 +762,7 @@ fn run_open<T: LoadTarget>(
 ) -> (LoadRecorder, WarmupTally, Duration) {
     let shards = target.shards();
     let group = target.group() as u64;
-    let bases = target.base_epochs();
+    let gate = EpochGate::new(target);
     // Epoch-aligned warmup cut: shard `s`'s epoch `e` spans arrival
     // indices `s + shards·(e·group ..= e·group + group − 1)`; the epoch
     // is warmup iff its FIRST arrival is scheduled before the cutoff.
@@ -746,7 +789,7 @@ fn run_open<T: LoadTarget>(
             .into_iter()
             .enumerate()
             .map(|(worker, ctx)| {
-                let bases = &bases;
+                let gate = &gate;
                 let warm_epochs = &warm_epochs;
                 s.spawn(move || {
                     let mut ctx = ctx;
@@ -755,8 +798,7 @@ fn run_open<T: LoadTarget>(
                     let mut i = worker;
                     while i < schedule.len() {
                         let shard = i % shards;
-                        let epoch_seq = (i / shards) as u64 / group;
-                        let epoch = bases[shard] + epoch_seq;
+                        let epoch = (i / shards) as u64 / group;
                         let due = begin + Duration::from_nanos(schedule.start_ns(i));
                         // Offered load: wait for the scheduled instant
                         // (sleep coarsely, spin the last stretch), but never
@@ -774,8 +816,8 @@ fn run_open<T: LoadTarget>(
                                 std::hint::spin_loop();
                             }
                         }
-                        let won = target.resolve(&mut ctx, shard, epoch);
-                        if epoch_seq < warm_epochs[shard] {
+                        let won = gate.resolve(&mut ctx, shard, epoch);
+                        if epoch < warm_epochs[shard] {
                             warmup.record(won);
                         } else {
                             // Latency from the *scheduled* instant: queueing
@@ -1102,15 +1144,14 @@ mod tests {
     }
 
     #[test]
-    fn backend_labels_round_trip() {
-        for backend in [
-            Backend::LogStar,
-            Backend::LogLog,
-            Backend::RatRace,
-            Backend::Combined,
-        ] {
-            assert_eq!(parse_backend(backend_label(backend)), Some(backend));
+    #[should_panic(expected = "already closed")]
+    fn resolving_a_past_epoch_panics_instead_of_hanging() {
+        let arena = TasArena::new(Backend::LogStar, 1, 1);
+        let gate = EpochGate::new(&arena);
+        let mut runner = arena.context();
+        for epoch in 0..3 {
+            let _ = gate.resolve(&mut runner, 0, epoch);
         }
-        assert_eq!(parse_backend("nope"), None);
+        let _ = gate.resolve(&mut runner, 0, 1);
     }
 }

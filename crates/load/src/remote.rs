@@ -1,225 +1,198 @@
 //! The remote backend: fire the same deterministic workloads at an
 //! `rtas-svc` arbitration server over TCP.
 //!
-//! [`RemoteTarget`] maps the driver's `(shard, epoch)` coordinates onto
-//! the service's keyed namespaces: shard `s` is the key `load/s`, and
-//! the arena's release/acquire epoch protocol is re-created
-//! client-side — workers spin on a local per-key epoch counter, issue
-//! `TAS` over their own connection, and the epoch's **last finisher**
-//! sends the `RESET` ack and opens the next epoch with a release store.
-//! The server independently enforces the same invariant (its own
-//! epoch gate admits and recycles), so exactly one winner per
-//! key-epoch holds end to end, asserted by the driver's win accounting.
+//! [`RemoteTarget`] maps the driver's shards onto the service's keyed
+//! namespace: shard `s` is the key `load/s`. The driver's epoch gate
+//! runs unchanged — [`acquire`](LoadTarget::acquire) is a `TAS` round
+//! trip and [`recycle`](LoadTarget::recycle) is the last finisher's
+//! `RESET` ack. The server enforces the same invariant independently
+//! (its own epoch gate admits and recycles), and the target checks it
+//! end to end on every run: a per-shard ledger of the winning *server*
+//! epochs panics the run on any second winner.
 //!
-//! Every resolution is a lockstep round trip, timed from send to
-//! decoded response. Pipelined bursts are perfbench's `pipelined`
-//! workload, not this harness's.
+//! Every request goes through `rtas-svc`'s [`ChaosClient`], all of a
+//! run's clients driven by one seeded [`FaultPlan`]:
+//!
+//! * **Plain runs** use the `clean` plan: no fault is ever drawn, so a
+//!   request is one lockstep round trip. A request that fails — a
+//!   reset stream, or an `ERR` such as the one a server sends before
+//!   closing a connection idle past its read deadline — drops the
+//!   connection and is re-sent on a fresh one under the client's
+//!   retry policy; the report's `err_retries` and `err_reconnects`
+//!   count them.
+//! * **Chaos runs** (`--chaos <spec> --chaos-seed <n>`) inject delays,
+//!   drops, truncation, reordering, stalled holders and byzantine
+//!   `RESET` acks, replayed bit-identically from one seed: worker
+//!   connection `c` replays fault stream `c`, and the ack for
+//!   `(shard, epoch)` draws its faults as a pure function of those
+//!   coordinates, never of which racing worker sends it. Under faults
+//!   the per-epoch win count legitimately degrades — a skipped ack
+//!   strands a server epoch whose later arrivals all lose, and a lease
+//!   reclamation can split one epoch across two server epochs — but
+//!   the ledger's bar does not.
 //!
 //! Because the open-loop [`ArrivalSchedule`] is a pure function of the
 //! seed, the *offered* load is bit-identical run to run here too — the
 //! service sees the same request instants whatever the network does —
 //! and end-to-end latency is still measured from the scheduled instant
-//! (queueing included, no coordinated omission). Reports are emitted as
-//! `BENCH_svc_load.json` (rows labeled `backend=remote`, `gate=wall`).
+//! (queueing included, no coordinated omission). Pipelined bursts are
+//! perfbench's `pipelined` workload, not this harness's.
 //!
 //! ## Connection fan-out (C10K)
 //!
 //! [`LoadSpec::conns`] holds a fixed fleet of `conns / threads`
 //! connections open **per worker** for the whole run; each resolution
 //! round-robins onto the next connection, so thousands of live
-//! connections are exercised by a handful of threads. Reports from a
-//! fan-out run are emitted as `BENCH_svc_c10k.json` with a `conns`
-//! label on every row.
+//! connections are exercised by a handful of threads.
 //!
 //! ## End-to-end tracing
 //!
-//! With a recorder attached ([`RemoteTarget::with_recorder`], the
-//! `rtas-load --trace` flag) every resolution carries a wire trace span
-//! (`docs/WIRE.md`) and records a `ClientSpan` event; the server
-//! records the matching `ServerSpan`, and `rtas-trace merge` joins the
-//! two dumps into per-request network/server/queue latency breakdowns.
-//! Support is negotiated with a traced `STATS` probe; old servers get
-//! plain untraced traffic.
+//! With a recorder attached (the `rtas-load --trace` flag) every wire
+//! attempt carries a fresh trace span (`docs/WIRE.md`) and records a
+//! `ClientSpan` event on its worker's lane; the server records the
+//! matching `ServerSpan`, and `rtas-trace merge` joins the two dumps
+//! into per-request network/server/queue latency breakdowns. Support
+//! is negotiated with a traced `STATS` probe; old servers get plain
+//! untraced traffic. Span minting never draws from the fault streams,
+//! so traced and untraced runs replay the same schedule.
+//!
+//! A run reports as `BENCH_svc_load.json` (rows labeled
+//! `backend=remote`), as `BENCH_svc_c10k.json` under a fan-out (a
+//! `conns` label on every row), or as `BENCH_svc_chaos.json` with a
+//! chaos plan (`backend=chaos`).
 //!
 //! [`ArrivalSchedule`]: crate::schedule::ArrivalSchedule
 //! [`LoadSpec::conns`]: crate::driver::LoadSpec::conns
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use rtas::sync::{Backoff, CachePadded};
+use rtas_svc::chaos::{ChaosClient, ChaosCounts, ChaosSpec, FaultPlan};
 use rtas_svc::obs::FlightRecorder;
-use rtas_svc::{Client, ClientError, ClientTracer, Op, Response};
+use rtas_svc::{Client, ClientConfig, ClientError, ClientTracer, Op};
 
 use crate::driver::{run_on_target, LoadOutcome, LoadSpec, LoadTarget, TargetKind};
-
-/// Client-side recycling state for one key, mirroring the arena's
-/// shard header.
-#[derive(Debug)]
-struct KeyState {
-    /// Open epoch: bumped with `Release` by the last finisher after the
-    /// `RESET` ack; read with `Acquire` by entrants.
-    epoch: AtomicU64,
-    /// Completed calls within the open epoch (`0..=group`).
-    done: AtomicUsize,
-}
+use crate::recorder::ErrorClasses;
 
 /// An `rtas-svc` server as a [`LoadTarget`]: `shards` keys named
 /// `load/0..load/shards-1`, each epoch-recycled through the wire
-/// protocol's `RESET` ack.
+/// protocol's `RESET` ack, every request through one [`FaultPlan`].
 #[derive(Debug)]
 pub struct RemoteTarget {
     addr: String,
+    plan: FaultPlan,
     keys: Vec<Vec<u8>>,
-    states: Vec<CachePadded<KeyState>>,
+    /// Per shard: the server epochs won so far.
+    ledgers: Vec<Mutex<BTreeSet<u64>>>,
     group: usize,
     /// Connections each worker holds open and round-robins across
     /// (the C10K fan-out; 1 is the classic one-connection worker).
     conns_per_worker: usize,
     registers: u64,
-    /// Client-side flight recorder ([`RemoteTarget::with_recorder`]):
-    /// when set, resolutions carry wire trace spans and record
-    /// `ClientSpan` events onto the context's worker lane.
+    /// The server's lease-reclaim count at the probe.
+    reclaimed_at_probe: u64,
+    /// Client-side flight recorder: when set, every wire attempt
+    /// carries a trace span and records a `ClientSpan` event onto its
+    /// worker's lane.
     recorder: Option<Arc<FlightRecorder>>,
-    /// Next worker-context index, handed out in `context()` call order
-    /// (the driver creates the initial fleet's contexts sequentially on
-    /// the main thread, so indices — and therefore span id spaces —
-    /// are stable run to run).
+    /// Next worker-context index, handed out in `context()` call order.
+    /// The driver creates the initial fleet's contexts sequentially on
+    /// the main thread, so context `k`'s connections are
+    /// `k · conns_per_worker ..` on every run — stable fault streams,
+    /// span id spaces and trace lanes.
     next_ctx: AtomicUsize,
-}
-
-/// Per-worker connections. Under a connection fan-out
-/// ([`LoadSpec::conns`]) a worker owns many clients and round-robins
-/// resolutions across them so every connection stays live.
-#[derive(Debug)]
-pub struct RemoteCtx {
-    clients: Vec<Client>,
-    /// Next client in the round-robin.
-    next: usize,
-    /// Span minting + `ClientSpan` recording for this worker's traffic
-    /// (`None` when the target has no recorder).
-    tracer: Option<ClientTracer>,
-}
-
-impl RemoteCtx {
-    /// One lockstep round trip on `clients[at]`. With a live tracer the
-    /// request carries a fresh span and its send → decoded time is
-    /// recorded as a `ClientSpan`; otherwise it goes out with span 0,
-    /// which the wire reserves for "untraced".
-    fn round_trip(&mut self, at: usize, op: Op, key: &[u8]) -> Result<Response, ClientError> {
-        let mut tracer = self.tracer.as_mut().filter(|t| t.enabled());
-        let span = tracer.as_mut().map_or(0, |t| t.mint());
-        let t0 = tracer.as_ref().map_or(0, |t| t.now_ns());
-        let client = &mut self.clients[at];
-        client.send_span(op, span, key)?;
-        let response = client.recv()?;
-        if let Some(t) = tracer {
-            t.record(op, span, t.now_ns().saturating_sub(t0));
-        }
-        Ok(response)
-    }
+    /// Fault/recovery counters, folded in as worker contexts retire.
+    counts: Arc<Mutex<ChaosCounts>>,
 }
 
 impl RemoteTarget {
-    /// Bind `shards` keys on the server at `addr`, each resolved by
-    /// `group` participants per epoch, one connection per worker.
+    /// Bind `spec.shards` keys on the server at `addr`, each resolved
+    /// by `spec.group()` participants per epoch, with `conns / threads`
+    /// connections per worker and every request under `plan`.
     ///
-    /// Connects once to probe reachability and to put every key into a
-    /// known-fresh epoch (`TAS` to materialize it, `RESET` to recycle —
-    /// a crashed previous run cannot leave a half-resolved epoch
-    /// behind). The probe's win/loss is deliberately *not* part of the
-    /// run's accounting: local epochs start at 0 regardless of the
-    /// server's epoch numbering, which only ever appears in responses.
+    /// Connects once, on a clean client, to probe: reachability; every
+    /// key into a known-fresh epoch (`TAS` to materialize it, `RESET`
+    /// to recycle — a crashed previous run cannot leave a half-resolved
+    /// epoch behind); the register and lease-reclaim counts; and, with
+    /// a `recorder`, whether the server speaks the wire trace
+    /// extension. An old server keeps tracing detached with a warning
+    /// on stderr, never an error: tracing is additive observability.
+    /// The probe's win/loss is not part of the run's accounting.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `shards == 0` or `group == 0`.
-    pub fn new(addr: &str, shards: usize, group: usize) -> Result<RemoteTarget, ClientError> {
-        Self::with_shape(addr, shards, group, 1)
-    }
-
-    /// [`RemoteTarget::new`] with an explicit per-worker connection
-    /// fan-out: every worker context holds `conns_per_worker`
-    /// connections open and round-robins its resolutions across them
-    /// (the C10K posture — see [`LoadSpec::conns`]).
+    /// Fails if the server is unreachable or refuses the probe.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`, `group == 0`, or
-    /// `conns_per_worker == 0`.
-    pub fn with_shape(
+    /// Panics on an inconsistent spec (see [`LoadSpec`] field docs).
+    pub fn new(
         addr: &str,
-        shards: usize,
-        group: usize,
-        conns_per_worker: usize,
+        spec: &LoadSpec,
+        plan: FaultPlan,
+        recorder: Option<Arc<FlightRecorder>>,
     ) -> Result<RemoteTarget, ClientError> {
-        assert!(shards >= 1, "remote target needs at least one shard key");
-        assert!(group >= 1, "remote target needs at least one participant");
-        assert!(
-            conns_per_worker >= 1,
-            "each worker needs at least one connection"
-        );
+        spec.validate();
         let mut probe = Client::connect(addr)?;
-        let keys: Vec<Vec<u8>> = (0..shards)
+        let keys: Vec<Vec<u8>> = (0..spec.shards)
             .map(|s| format!("load/{s}").into_bytes())
             .collect();
         for key in &keys {
             probe.tas(key)?;
             probe.reset(key)?;
         }
-        let registers = probe.stats()?.registers;
+        let stats = probe.stats()?;
+        let recorder = match recorder {
+            Some(_) if !probe.probe_trace()? => {
+                eprintln!(
+                    "rtas-load: warning: {addr} does not speak the wire trace \
+                     extension (old server?); tracing disabled"
+                );
+                None
+            }
+            recorder => recorder,
+        };
         Ok(RemoteTarget {
             addr: addr.to_string(),
-            states: (0..shards)
-                .map(|_| {
-                    CachePadded(KeyState {
-                        epoch: AtomicU64::new(0),
-                        done: AtomicUsize::new(0),
-                    })
-                })
-                .collect(),
+            plan,
+            ledgers: keys.iter().map(|_| Mutex::default()).collect(),
             keys,
-            group,
-            conns_per_worker,
-            registers,
-            recorder: None,
+            group: spec.group(),
+            conns_per_worker: spec.conns.map_or(1, |c| c / spec.threads),
+            registers: stats.registers,
+            reclaimed_at_probe: stats.reclaimed,
+            recorder,
             next_ctx: AtomicUsize::new(0),
+            counts: Arc::default(),
         })
-    }
-
-    /// Attach a client-side flight recorder: every resolution is sent
-    /// with a fresh wire trace span (`docs/WIRE.md`) and lands a
-    /// `ClientSpan` event on the worker's lane, pairable with the
-    /// server's dump by `rtas-trace merge`.
-    ///
-    /// Negotiates first: a traced probe (`Client::probe_trace`) tells a
-    /// new server from an old one over a healthy connection. Old
-    /// servers keep the recorder detached, with a warning on stderr
-    /// rather than an error: tracing is additive observability, never a
-    /// reason to refuse load.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the negotiation probe cannot reach the server.
-    pub fn with_recorder(
-        mut self,
-        recorder: Arc<FlightRecorder>,
-    ) -> Result<RemoteTarget, ClientError> {
-        if !Client::connect(&self.addr)?.probe_trace()? {
-            eprintln!(
-                "rtas-load: warning: {} does not speak the wire trace \
-                 extension (old server?); tracing disabled",
-                self.addr
-            );
-            return Ok(self);
-        }
-        self.recorder = Some(recorder);
-        Ok(self)
     }
 
     /// The server address the target drives.
     pub fn addr(&self) -> &str {
         &self.addr
+    }
+}
+
+/// One worker's connections plus a handle to the target's counter
+/// sink, which they are folded into on drop (worker retirement).
+#[derive(Debug)]
+pub struct RemoteCtx {
+    clients: Vec<ChaosClient>,
+    /// The connection of the current resolution: its `TAS` and, if
+    /// this worker finishes the epoch, its `RESET` go out on it.
+    at: usize,
+    sink: Arc<Mutex<ChaosCounts>>,
+}
+
+impl Drop for RemoteCtx {
+    fn drop(&mut self) {
+        // Counters are valid after every merge step, so a sink poisoned
+        // by another worker's panic is still safe to add to.
+        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
+        for client in &self.clients {
+            sink.merge(client.counts());
+        }
     }
 }
 
@@ -234,72 +207,64 @@ impl LoadTarget for RemoteTarget {
         self.group
     }
 
-    fn base_epochs(&self) -> Vec<u64> {
-        self.states
-            .iter()
-            .map(|s| s.0.epoch.load(Ordering::Acquire))
-            .collect()
-    }
-
     fn context(&self) -> RemoteCtx {
+        let ctx = self.next_ctx.fetch_add(1, Ordering::Relaxed);
         let clients = (0..self.conns_per_worker)
-            .map(|_| {
-                Client::connect(&self.addr)
-                    .unwrap_or_else(|e| panic!("cannot connect load worker to {}: {e}", self.addr))
+            .map(|i| {
+                let conn = (ctx * self.conns_per_worker + i) as u64;
+                let mut client =
+                    ChaosClient::new(&self.addr, &self.plan, conn, ClientConfig::default());
+                if let Some(recorder) = &self.recorder {
+                    client = client.with_tracer(ClientTracer::new(Arc::clone(recorder), ctx, conn));
+                }
+                client
+                    .connect()
+                    .unwrap_or_else(|e| panic!("cannot connect load worker to {}: {e}", self.addr));
+                client
             })
             .collect();
-        let ctx = self.next_ctx.fetch_add(1, Ordering::Relaxed);
         RemoteCtx {
             clients,
-            next: 0,
-            tracer: self
-                .recorder
-                .as_ref()
-                .map(|r| ClientTracer::new(Arc::clone(r), ctx)),
+            // The first acquire rotates onto connection 0.
+            at: self.conns_per_worker - 1,
+            sink: Arc::clone(&self.counts),
         }
     }
 
-    fn resolve(&self, ctx: &mut RemoteCtx, shard: usize, epoch: u64) -> bool {
-        let state = &self.states[shard].0;
-        // Wait for our epoch — same spin-then-yield discipline as the
-        // in-process arena.
-        let mut backoff = Backoff::new();
-        loop {
-            let current = state.epoch.load(Ordering::Acquire);
-            if current == epoch {
-                break;
-            }
+    fn acquire(&self, ctx: &mut RemoteCtx, shard: usize) -> bool {
+        // Round-robin the fan-out so every connection stays live.
+        ctx.at = (ctx.at + 1) % ctx.clients.len();
+        let verdict = ctx.clients[ctx.at]
+            .acquire(Op::Tas, &self.keys[shard])
+            .unwrap_or_else(|e| panic!("TAS on {} failed: {e}", self.addr));
+        if verdict.won {
+            // THE safety bar: at most one winner per key-epoch, on the
+            // server's own epoch numbering, under every fault mix.
+            let first = self.ledgers[shard]
+                .lock()
+                .expect("a worker panicked while recording a win")
+                .insert(verdict.epoch);
             assert!(
-                current < epoch,
-                "epoch {epoch} already closed (key is at {current}): \
-                 a reused remote target must offset by base_epochs"
+                first,
+                "second winner observed for shard {shard} server epoch {} — \
+                 arbitration safety violated",
+                verdict.epoch
             );
-            backoff.snooze();
         }
-        let key = &self.keys[shard];
-        // Round-robin the fan-out: each resolution (TAS and, for the
-        // last finisher, its RESET) runs on one connection, and every
-        // connection takes its turn so all of them stay live.
-        let at = ctx.next;
-        ctx.next = (ctx.next + 1) % ctx.clients.len();
-        let won = match ctx.round_trip(at, Op::Tas, key) {
-            Ok(Response::Acquired(a)) => a.won,
-            Ok(other) => panic!("TAS on {}: expected a verdict, got {other:?}", self.addr),
-            Err(e) => panic!("TAS on {} failed: {e}", self.addr),
-        };
-        if state.done.fetch_add(1, Ordering::AcqRel) + 1 == self.group {
-            // Last finisher: every call of this epoch has its response,
-            // so the server-side gate is quiescent the moment our RESET
-            // is admitted. Ack it, then open the next local epoch.
-            match ctx.round_trip(at, Op::Reset, key) {
-                Ok(Response::Reset { .. }) => {}
-                Ok(other) => panic!("RESET on {}: expected an ack, got {other:?}", self.addr),
-                Err(e) => panic!("RESET on {} failed: {e}", self.addr),
-            }
-            state.done.store(0, Ordering::Relaxed);
-            state.epoch.fetch_add(1, Ordering::Release);
-        }
-        won
+        verdict.won
+    }
+
+    fn recycle(&self, ctx: &mut RemoteCtx, shard: usize, epoch: u64) {
+        // The plan's byzantine reset faults are drawn from the
+        // (shard, epoch) coordinates, so the draw is identical whichever
+        // worker lands here. A skipped ack strands the server epoch for
+        // the lease to reclaim; a duplicated ack is defused by the
+        // server's zero-admission guard. Either way the gate opens the
+        // next epoch: liveness never hangs on the fault plan.
+        let faults = self.plan.reset_faults(shard as u64, epoch);
+        ctx.clients[ctx.at]
+            .ack_reset(&self.keys[shard], faults)
+            .unwrap_or_else(|e| panic!("RESET on {} failed: {e}", self.addr));
     }
 
     fn registers(&self) -> u64 {
@@ -307,54 +272,88 @@ impl LoadTarget for RemoteTarget {
     }
 }
 
+/// A remote run's outcome: the ordinary load outcome (its recorder's
+/// [`ErrorClasses`] filled in) plus the client's fault and recovery
+/// tally and the observed winner sets.
+#[derive(Debug)]
+pub struct RemoteOutcome {
+    /// The measured run, reporting as `svc_load`, `svc_c10k` or
+    /// `svc_chaos`.
+    pub outcome: LoadOutcome,
+    /// Client-side fault/recovery counters, all workers merged.
+    pub counts: ChaosCounts,
+    /// Winning server epochs observed, per shard, sorted.
+    pub winners: Vec<Vec<u64>>,
+    /// Server-side epochs reclaimed by the lease *during this run*
+    /// (the `STATS` delta).
+    pub reclaimed: u64,
+}
+
 /// Run the specified workload against the `rtas-svc` server at `addr`
-/// (see [`RemoteTarget`]); the outcome reports as `svc_load`.
+/// (see [`RemoteTarget`]), with `chaos`'s faults injected or, without
+/// one, on the clean plan. The one-winner-per-key-epoch bar is
+/// enforced fail-fast on every run; the outcome's recorder carries the
+/// error-class counts (timeouts, retries, reconnects, server
+/// reclaims). With a `recorder`, the caller keeps the `Arc` and dumps
+/// the client rings after the run (`rtas-load --trace`).
 ///
 /// `spec.backend` is ignored — the server chose its algorithm at
-/// `serve` time; rows are labeled `backend=remote`.
+/// `serve` time.
 ///
 /// # Errors
 ///
 /// Fails if the server is unreachable or refuses the probe. The
-/// initial fleet's connections are opened before any worker spawns, so
-/// a connect failure panics cleanly before traffic starts. Transport
-/// failures *during* the run (or on a churn respawn's fresh
-/// connection) panic the affected worker — peers of its unfinished
-/// epoch then wait, so the run fails loudly rather than silently
-/// dropping offered operations.
+/// initial fleet's connections are opened before any worker spawns,
+/// so a connect failure panics cleanly before traffic starts. Request
+/// failures mid-run are redialed and retried; a worker that exhausts
+/// its retries panics loudly.
 ///
 /// # Panics
 ///
-/// Panics on an inconsistent spec (see [`LoadSpec`] field docs).
-pub fn run_load_remote(addr: &str, spec: LoadSpec) -> Result<LoadOutcome, ClientError> {
-    run_load_remote_traced(addr, spec, None)
-}
-
-/// [`run_load_remote`] with an optional client-side flight recorder
-/// (see [`RemoteTarget::with_recorder`]): the caller keeps the `Arc`
-/// and dumps the rings after the run (`rtas-load --trace` /
-/// `--trace-out`). Passing `None` is exactly `run_load_remote`.
-///
-/// # Errors
-///
-/// As [`run_load_remote`], plus a failed trace-negotiation probe.
-pub fn run_load_remote_traced(
+/// Panics on an inconsistent spec, or on a safety violation (a second
+/// winner for one server epoch).
+pub fn run_load_remote(
     addr: &str,
     spec: LoadSpec,
+    chaos: Option<FaultPlan>,
     recorder: Option<Arc<FlightRecorder>>,
-) -> Result<LoadOutcome, ClientError> {
-    spec.validate();
-    let conns_per_worker = spec.conns.map_or(1, |c| c / spec.threads);
-    let mut target = RemoteTarget::with_shape(addr, spec.shards, spec.group(), conns_per_worker)?;
-    if let Some(recorder) = recorder {
-        target = target.with_recorder(recorder)?;
-    }
-    let kind = if spec.conns.is_some() {
-        TargetKind::C10k
-    } else {
-        TargetKind::Remote
+) -> Result<RemoteOutcome, ClientError> {
+    let kind = match (&chaos, spec.conns) {
+        (Some(_), _) => TargetKind::Chaos,
+        (None, Some(_)) => TargetKind::C10k,
+        (None, None) => TargetKind::Remote,
     };
-    Ok(run_on_target(&target, spec, kind))
+    let plan = chaos.unwrap_or_else(|| FaultPlan::new(ChaosSpec::default(), spec.seed));
+    let target = RemoteTarget::new(addr, &spec, plan, recorder)?;
+    let mut outcome = run_on_target(&target, spec, kind);
+    let reclaimed = Client::connect(addr)?
+        .stats()?
+        .reclaimed
+        .saturating_sub(target.reclaimed_at_probe);
+    let counts = *target
+        .counts
+        .lock()
+        .expect("every worker context folded its counts in");
+    outcome.recorder.add_errors(&ErrorClasses {
+        timeouts: counts.timeouts,
+        retries: counts.retries,
+        reconnects: counts.reconnects,
+        reclaimed,
+    });
+    let winners = target
+        .ledgers
+        .iter()
+        .map(|ledger| {
+            let won = ledger.lock().expect("every worker recorded its wins");
+            won.iter().copied().collect()
+        })
+        .collect();
+    Ok(RemoteOutcome {
+        outcome,
+        counts,
+        winners,
+        reclaimed,
+    })
 }
 
 /// Scrape a server's `METRICS` exposition into the curated `svc_*`

@@ -5,9 +5,9 @@
 //!
 //! * `NativeMemory::reset` / `TestAndSet::reset` perform **zero**
 //!   allocations — recycling is atomic updates, nothing else;
-//! * the arena's steady-state op path performs **zero** allocations: the
-//!   protocol's frames run on the runner's reused stack, and the shards
-//!   share one layout computed at construction.
+//! * the arena's steady-state acquire/recycle path performs **zero**
+//!   allocations: the protocol's frames run on the runner's reused
+//!   stack, and the shards share one layout computed at construction.
 //!
 //! Everything runs in ONE test function: the default test harness runs
 //! `#[test]` functions concurrently, and a second thread would pollute
@@ -16,10 +16,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rtas::native::{NativeMemory, NativeRunner};
+use rtas::native::NativeMemory;
 use rtas::sim::memory::Memory;
 use rtas::{Backend, TestAndSet};
-use rtas_load::TasArena;
+use rtas_load::{LoadTarget, TasArena};
 
 struct CountingAlloc;
 
@@ -71,18 +71,20 @@ fn reset_and_steady_state_arena_ops_allocate_nothing() {
         "TestAndSet::reset must not allocate"
     );
 
-    // --- Steady-state arena ops allocate nothing. ---
+    // --- Steady-state arena acquire/recycle allocates nothing. ---
     // Group of one so the whole loop stays on this thread (spawning
     // workers would allocate and pollute the counters).
     let arena = TasArena::new(Backend::LogStar, 1, 1);
-    let mut runner = NativeRunner::new();
+    let mut runner = arena.context();
     for epoch in 0..20 {
-        assert!(arena.resolve(0, epoch, &mut runner), "warmup epoch {epoch}");
+        assert!(arena.acquire(&mut runner, 0), "warmup epoch {epoch}");
+        arena.recycle(&mut runner, 0, epoch);
     }
     let epochs = 100u64;
     let before = allocations();
     for epoch in 20..20 + epochs {
-        assert!(arena.resolve(0, epoch, &mut runner));
+        assert!(arena.acquire(&mut runner, 0));
+        arena.recycle(&mut runner, 0, epoch);
     }
     assert_eq!(
         allocations() - before,

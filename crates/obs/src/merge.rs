@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use crate::event::{EventKind, TraceEvent};
 use crate::json::Json;
 use crate::report::{BenchReport, BenchRow};
+use crate::stats::StatsAccumulator;
 
 /// One request seen end to end: the client's round trip plus the
 /// server span that answered it (when the server's ring retained it).
@@ -177,44 +178,6 @@ pub fn merge_spans(client: &[TraceEvent], server: &[TraceEvent]) -> MergeOutcome
     }
 }
 
-/// Sorted-sample percentile (nearest rank on the `q∈[0,1]` scale);
-/// `0.0` for an empty sample so report fields stay finite.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Distribution statistics over a sample, every value finite (zeros
-/// for an empty sample): mean, worst, min, stddev, ci95, p50, p90, p99.
-fn dist(mut xs: Vec<f64>) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
-    if xs.is_empty() {
-        return (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = if xs.len() > 1 {
-        xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0)
-    } else {
-        0.0
-    };
-    let stddev = var.sqrt();
-    let ci95 = 1.96 * stddev / n.sqrt();
-    (
-        mean,
-        xs[xs.len() - 1],
-        xs[0],
-        stddev,
-        ci95,
-        percentile(&xs, 0.50),
-        percentile(&xs, 0.90),
-        percentile(&xs, 0.99),
-    )
-}
-
 /// Render the merged view as a human timeline: one line per request
 /// (client order) with the RTT and its server/queue/network split,
 /// preceded by a summary header.
@@ -312,57 +275,35 @@ pub fn render_merge_json(m: &MergeOutcome) -> String {
 /// `bench-diff --gate-wall`, and every value is finite even for an
 /// empty merge so finiteness flips stay structural failures.
 pub fn bench_report(m: &MergeOutcome) -> BenchReport {
-    let rtts_us: Vec<f64> = m
-        .pairs
-        .iter()
-        .filter(|p| p.server_dur_ns.is_some())
-        .map(|p| p.rtt_ns as f64 / 1e3)
-        .collect();
-    let servers_us: Vec<f64> = m
-        .pairs
-        .iter()
-        .filter_map(|p| p.server_dur_ns)
-        .map(|d| d as f64 / 1e3)
-        .collect();
-    let queues_us: Vec<f64> = m
-        .pairs
-        .iter()
-        .filter_map(|p| m.queue_ns(p))
-        .map(|q| q as f64 / 1e3)
-        .collect();
-    let paired = rtts_us.len();
-    let (mean, worst, min, stddev, ci95, p50, p90, p99) = dist(rtts_us);
-    let (_, _, _, _, _, server_p50, _, _) = dist(servers_us);
-    let (_, _, _, _, _, queue_p50, _, _) = dist(queues_us);
-    let row = BenchRow {
-        k: 0,
-        trials: 0,
-        mean,
-        worst,
-        min,
-        stddev,
-        ci95,
-        p50,
-        p90,
-        p99,
-        wall_ms: 0.0,
-        extra: vec![
-            ("pairs".to_string(), paired as f64),
-            ("client_spans".to_string(), m.client_spans as f64),
-            ("server_spans".to_string(), m.server_spans as f64),
-            ("unpaired_client".to_string(), m.unpaired_client as f64),
-            ("net_floor_us".to_string(), m.net_floor_ns as f64 / 1e3),
-            ("e2e_p50_us".to_string(), p50),
-            ("net_p50_us".to_string(), m.net_floor_ns as f64 / 1e3),
-            ("server_p50_us".to_string(), server_p50),
-            ("queue_p50_us".to_string(), queue_p50),
-            ("clock_offset_ns".to_string(), m.clock_offset_ns as f64),
-        ],
-        labels: vec![
-            ("scope".to_string(), "total".to_string()),
-            ("gate".to_string(), "wall".to_string()),
-        ],
-    };
+    let mut rtts_us = StatsAccumulator::new();
+    let mut servers_us = StatsAccumulator::new();
+    let mut queues_us = StatsAccumulator::new();
+    for p in &m.pairs {
+        let Some(server_ns) = p.server_dur_ns else {
+            continue;
+        };
+        rtts_us.push(p.rtt_ns as f64 / 1e3);
+        servers_us.push(server_ns as f64 / 1e3);
+        if let Some(queue_ns) = m.queue_ns(p) {
+            queues_us.push(queue_ns as f64 / 1e3);
+        }
+    }
+    let rtt = rtts_us.summary();
+    let mut row = BenchRow::from_summary(0, &rtt, 0.0)
+        .with("pairs", rtt.count as f64)
+        .with("client_spans", m.client_spans as f64)
+        .with("server_spans", m.server_spans as f64)
+        .with("unpaired_client", m.unpaired_client as f64)
+        .with("net_floor_us", m.net_floor_ns as f64 / 1e3)
+        .with("e2e_p50_us", rtt.p50)
+        .with("net_p50_us", m.net_floor_ns as f64 / 1e3)
+        .with("server_p50_us", servers_us.p50())
+        .with("queue_p50_us", queues_us.p50())
+        .with("clock_offset_ns", m.clock_offset_ns as f64)
+        .with_label("scope", "total")
+        .with_label("gate", "wall");
+    // Pair counts are run-dependent; the baseline gates the shape.
+    row.trials = 0;
     let mut report = BenchReport::new("svc_e2e", 1);
     report.push(row);
     report
@@ -555,5 +496,51 @@ mod tests {
         let row = &report.rows()[0];
         assert_eq!(row.p50, 100.0); // 100_000ns RTT in us
         assert_eq!(row.extra[0].1, 1.0); // one pair
+    }
+
+    #[test]
+    fn bench_report_quantiles_follow_the_log_bin_rule() {
+        // Three paired requests (20us server time each) and one
+        // unpaired: the row's statistics are exactly those of a
+        // StatsAccumulator over the paired RTTs, like every report's.
+        let rtts_ns = [100_000, 150_000, 400_000];
+        let mut client: Vec<TraceEvent> = rtts_ns
+            .iter()
+            .enumerate()
+            .map(|(i, &rtt)| client_span(i as u64 + 1, 1_000_000 * (i as u64 + 1), rtt))
+            .collect();
+        client.push(client_span(99, 9_000_000, 5_000));
+        let server: Vec<TraceEvent> = (0..3)
+            .map(|i| server_span(i + 1, 1_000_000 * (i + 1) - 50_000, 20_000))
+            .collect();
+        let report = bench_report(&merge_spans(&client, &server));
+        let row = &report.rows()[0];
+        let mut rtts_us = StatsAccumulator::new();
+        for rtt in rtts_ns {
+            rtts_us.push(rtt as f64 / 1e3);
+        }
+        let expect = rtts_us.summary();
+        assert_eq!(
+            (row.mean, row.min, row.worst, row.stddev, row.ci95),
+            (
+                expect.mean,
+                expect.min,
+                expect.max,
+                expect.stddev,
+                expect.ci95
+            )
+        );
+        assert_eq!(
+            (row.p50, row.p90, row.p99),
+            (expect.p50, expect.p90, expect.p99)
+        );
+        // Nearest rank over log bins: the median sample's bin, within
+        // one bin width of the sample itself.
+        assert!((row.p50 - 150.0).abs() <= 150.0 * 0.0625, "{}", row.p50);
+        assert_eq!(row.trials, 0, "pinned: the baseline gates the shape");
+        let extra = |name: &str| row.extra.iter().find(|(k, _)| k == name).unwrap().1;
+        assert_eq!(extra("pairs"), 3.0);
+        assert_eq!(extra("e2e_p50_us"), row.p50);
+        assert_eq!(extra("server_p50_us"), 20.0);
     }
 }

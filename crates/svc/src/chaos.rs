@@ -23,8 +23,11 @@
 //!   `(seed, shard, epoch)` so the reset-ack faults do not depend on
 //!   which racing worker happens to resolve the epoch;
 //! * [`ChaosClient`] — a [`crate::Client`] wrapper that
-//!   applies a plan's faults to real wire traffic and classifies the
-//!   fallout into [`ChaosCounts`]. It can optionally carry a
+//!   applies a plan's faults to real wire traffic, redials and
+//!   re-sends through any failed request, and classifies the fallout
+//!   into [`ChaosCounts`]. On the `clean` spec it injects nothing,
+//!   which makes it `rtas-load`'s one remote client for plain,
+//!   fan-out and chaos runs alike. It can optionally carry a
 //!   [`ClientTracer`]: every wire attempt is stamped with a fresh
 //!   trace span (see `docs/WIRE.md`) without consuming a single draw
 //!   from the fault or jitter streams, so traced chaos runs replay
@@ -43,7 +46,7 @@ use std::time::Duration;
 use rtas::sim::rng::SplitMix64;
 
 use crate::client::{Client, ClientConfig, ClientTracer, RetryPolicy};
-use crate::protocol::{frame_request_span, Op, Response};
+use crate::protocol::{frame_request_span, Acquired, Op, Response};
 use crate::ClientError;
 
 /// Probabilities and magnitudes of every fault class. Probabilities
@@ -393,22 +396,18 @@ impl ChaosCounts {
     }
 }
 
-/// The verdict of one chaotic acquire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosVerdict {
-    /// Did this operation win its server epoch?
-    pub won: bool,
-    /// The server epoch the verdict belongs to.
-    pub epoch: u64,
-}
-
 /// A fault-injecting wrapper around one [`Client`] connection.
 ///
 /// Applies a [`ConnectionPlan`]'s faults to real traffic and absorbs
-/// the fallout: severed or truncated connections redial under the
-/// [`RetryPolicy`] with a backoff jitter stream that is **separate**
-/// from the fault stream (retries are timing-dependent and must not
-/// shift the deterministic fault schedule).
+/// the fallout in one redial-and-retry loop: a request that fails in
+/// any way — transport death, a desynchronized stream, or an `ERR`
+/// answer (the server closes every connection it answers with `ERR`,
+/// e.g. one idle past its read deadline) — drops the connection, and
+/// the request is re-sent on a fresh one under the [`RetryPolicy`],
+/// with a backoff jitter stream that is **separate** from the fault
+/// stream (retries are timing-dependent and must not shift the
+/// deterministic fault schedule). Under the `clean` spec no fault is
+/// ever drawn true, so this is also the plain load client.
 ///
 /// With a [`ClientTracer`] attached ([`ChaosClient::with_tracer`])
 /// every wire attempt carries a **fresh** trace span — a retry is a
@@ -435,7 +434,8 @@ pub struct ChaosClient {
 }
 
 impl ChaosClient {
-    /// Wrap connection `conn` of `plan`, dialing `addr` lazily.
+    /// Wrap connection `conn` of `plan`, dialing `addr` lazily (or
+    /// now, with [`ChaosClient::connect`]).
     pub fn new(addr: &str, plan: &FaultPlan, conn: u64, config: ClientConfig) -> Self {
         ChaosClient {
             addr: addr.to_string(),
@@ -463,6 +463,13 @@ impl ChaosClient {
     /// The fault/recovery counters so far.
     pub fn counts(&self) -> &ChaosCounts {
         &self.counts
+    }
+
+    /// Dial now instead of at the first operation (a fleet spawn wants
+    /// a dead address to fail before any traffic). Draws nothing from
+    /// the fault stream.
+    pub fn connect(&mut self) -> io::Result<()> {
+        self.ensure_client().map(drop)
     }
 
     /// A fresh span for the next wire attempt, or 0 (untraced) when no
@@ -508,21 +515,44 @@ impl ChaosClient {
         self.counts.drops += 1;
     }
 
-    fn classify(&mut self, err: &ClientError) {
-        if let ClientError::Io(e) = err {
-            if matches!(
-                e.kind(),
-                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-            ) {
-                self.counts.timeouts += 1;
+    /// Run `once` until it succeeds: every failure drops the
+    /// connection and, within the [`RetryPolicy`], backs off and tries
+    /// again on a fresh one. Retries are idempotent at epoch
+    /// granularity (a replayed op rejoins the key's open epoch; a
+    /// duplicated loss is just another loss; a replayed ack lands on a
+    /// zero-admission epoch and is a no-op).
+    fn retrying<T>(
+        &mut self,
+        mut once: impl FnMut(&mut Self) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let mut attempt = 0;
+        loop {
+            let err = match once(self) {
+                Ok(v) => return Ok(v),
+                Err(err) => err,
+            };
+            if let ClientError::Io(e) = &err {
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+                ) {
+                    self.counts.timeouts += 1;
+                }
             }
+            self.client = None;
+            attempt += 1;
+            if attempt >= self.retry.attempts {
+                return Err(err);
+            }
+            self.counts.retries += 1;
+            std::thread::sleep(self.retry.backoff(attempt - 1, &mut self.jitter));
         }
     }
 
     /// One chaotic arbitration op on `key`: apply this operation's
-    /// faults, retrying through transport failures until the server
-    /// hands down a verdict. Infallible short of retry exhaustion.
-    pub fn acquire(&mut self, op: Op, key: &[u8]) -> Result<ChaosVerdict, ClientError> {
+    /// faults, retrying through failures until the server hands down
+    /// a verdict. Infallible short of retry exhaustion.
+    pub fn acquire(&mut self, op: Op, key: &[u8]) -> Result<Acquired, ClientError> {
         let faults = self.plan.next_op();
         if !faults.delay.is_zero() {
             self.counts.delays += 1;
@@ -549,45 +579,18 @@ impl ChaosClient {
             // that IS a retry after a transport fault, count it as one.
             self.counts.retries += 1;
         }
-        let mut attempt = 0;
-        let verdict = loop {
-            let result = self.try_once(op, key, &faults);
-            match result {
-                Ok(v) => break v,
-                Err(err @ ClientError::Io(_)) | Err(err @ ClientError::Protocol(_)) => {
-                    // Transport death or a desynchronized stream: the
-                    // connection is untrustworthy. Redial and retry —
-                    // idempotent at epoch granularity (a replayed op
-                    // rejoins the key's open epoch; a duplicated loss
-                    // is just another loss).
-                    self.classify(&err);
-                    self.client = None;
-                    attempt += 1;
-                    if attempt >= self.retry.attempts {
-                        return Err(err);
-                    }
-                    self.counts.retries += 1;
-                    std::thread::sleep(self.retry.backoff(attempt - 1, &mut self.jitter));
-                }
-                Err(other) => return Err(other),
-            }
-        };
+        let verdict = self.retrying(|this| this.try_once(op, key, &faults))?;
         if faults.drop_after {
             self.sever();
         }
         Ok(verdict)
     }
 
-    fn try_once(
-        &mut self,
-        op: Op,
-        key: &[u8],
-        faults: &OpFaults,
-    ) -> Result<ChaosVerdict, ClientError> {
+    fn try_once(&mut self, op: Op, key: &[u8], faults: &OpFaults) -> Result<Acquired, ClientError> {
         let reorder = faults.reorder;
         let span = self.mint_span();
         let start = self.tracer.as_ref().map(ClientTracer::now_ns);
-        let client = self.ensure_client().map_err(ClientError::Io)?;
+        let client = self.ensure_client()?;
         let acquired = if reorder {
             // Reorder within the pipeline: the same request twice in
             // one batch, back frame first in construction order, both
@@ -622,10 +625,7 @@ impl ChaosClient {
                 std::thread::sleep(stall);
             }
         }
-        Ok(ChaosVerdict {
-            won: acquired.won,
-            epoch: acquired.epoch,
-        })
+        Ok(acquired)
     }
 
     /// Ack an epoch resolution on `key`, subject to `faults`. Returns
@@ -642,41 +642,22 @@ impl ChaosClient {
             return Ok(None);
         }
         let sends = if faults.duplicate { 2 } else { 1 };
-        let mut attempt = 0;
-        loop {
-            match self.reset_once(key, sends) {
-                Ok(epoch) => {
-                    if faults.duplicate {
-                        self.counts.dup_resets += 1;
-                    }
-                    return Ok(Some(epoch));
-                }
-                Err(err @ ClientError::Io(_)) | Err(err @ ClientError::Protocol(_)) => {
-                    self.classify(&err);
-                    self.client = None;
-                    attempt += 1;
-                    if attempt >= self.retry.attempts {
-                        return Err(err);
-                    }
-                    self.counts.retries += 1;
-                    std::thread::sleep(self.retry.backoff(attempt - 1, &mut self.jitter));
-                }
-                Err(other) => return Err(other),
-            }
+        let epoch = self.retrying(|this| this.reset_once(key, sends))?;
+        if faults.duplicate {
+            self.counts.dup_resets += 1;
         }
+        Ok(Some(epoch))
     }
 
-    fn reset_once(&mut self, key: &[u8], sends: u32) -> Result<u64, ClientError> {
+    fn reset_once(&mut self, key: &[u8], sends: usize) -> Result<u64, ClientError> {
         let span = self.mint_span();
         let start = self.tracer.as_ref().map(ClientTracer::now_ns);
-        let client = self.ensure_client().map_err(ClientError::Io)?;
+        let client = self.ensure_client()?;
         // A duplicated ack goes out as one pipelined batch — a single
         // coalesced write carrying both RESET frames. Only the first
         // frame is traced (see the type docs).
-        let batch: Vec<(Op, u64, &[u8])> = (0..sends)
-            .map(|i| (Op::Reset, if i == 0 { span } else { 0 }, key))
-            .collect();
-        client.send_batch_span(&batch)?;
+        let batch = [(Op::Reset, span, key), (Op::Reset, 0, key)];
+        client.send_batch_span(&batch[..sends])?;
         let mut last = 0;
         for _ in 0..sends {
             match client.recv()? {
@@ -696,18 +677,9 @@ impl ChaosClient {
         }
         Ok(last)
     }
-
-    /// Drain anything still buffered and drop the connection (end of a
-    /// worker's run).
-    pub fn finish(mut self) -> ChaosCounts {
-        if let Some(client) = self.client.take() {
-            drop(client);
-        }
-        self.counts
-    }
 }
 
-fn expect_acquired(response: Response) -> Result<crate::Acquired, ClientError> {
+fn expect_acquired(response: Response) -> Result<Acquired, ClientError> {
     match response {
         Response::Acquired(a) => Ok(a),
         Response::Err(msg) => Err(ClientError::Remote(msg)),
@@ -844,7 +816,7 @@ mod tests {
         let plan = FaultPlan::new(spec, 42);
         let recorder = Arc::new(FlightRecorder::new(TraceMode::On, 1));
         let mut traced = ChaosClient::new("127.0.0.1:1", &plan, 0, ClientConfig::default())
-            .with_tracer(ClientTracer::new(recorder, 0));
+            .with_tracer(ClientTracer::new(recorder, 0, 0));
         let mut plain = ChaosClient::new("127.0.0.1:1", &plan, 0, ClientConfig::default());
         for _ in 0..64 {
             let span = traced.mint_span();
@@ -855,7 +827,7 @@ mod tests {
         // An attached-but-off tracer also stamps nothing on the wire.
         let off = Arc::new(FlightRecorder::new(TraceMode::Off, 1));
         let mut idle = ChaosClient::new("127.0.0.1:1", &plan, 0, ClientConfig::default())
-            .with_tracer(ClientTracer::new(off, 0));
+            .with_tracer(ClientTracer::new(off, 0, 0));
         assert_eq!(idle.mint_span(), 0);
     }
 

@@ -24,13 +24,16 @@
 //! [`ClientConfig`] bounds every transport wait: a connect timeout
 //! (on by default — a dead address must fail the dial, not hang a
 //! fleet spawn), and optional read/write deadlines on the established
-//! stream. [`Client::reconnect`] re-dials the peer the client first
-//! connected to with the same config, and [`RetryPolicy`] provides
-//! bounded, full-jitter exponential backoff for the redial loop. The
-//! protocol makes retried work idempotent at the *epoch* level: a
-//! reconnected worker re-reads the key's current epoch (its verdicts
-//! carry epoch numbers), so a retry rejoins the open epoch rather than
-//! colliding with a completed one.
+//! stream. [`RetryPolicy`] provides bounded, full-jitter exponential
+//! backoff for a redial loop; the load harness's one is
+//! [`ChaosClient`](crate::chaos::ChaosClient), which drops a connection
+//! on any failed request (a transport error, a desynchronized stream,
+//! or an `ERR`, which the server sends before it closes a connection,
+//! e.g. on an expired read deadline) and re-sends the request on a
+//! fresh one. The protocol makes retried work idempotent at the *epoch*
+//! level: a reconnected worker re-reads the key's current epoch (its
+//! verdicts carry epoch numbers), so a retry rejoins the open epoch
+//! rather than colliding with a completed one.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -157,10 +160,6 @@ const READ_CHUNK: usize = 64 * 1024;
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    /// The resolved address actually dialed — [`Client::reconnect`]
-    /// re-dials exactly this peer.
-    peer: SocketAddr,
-    config: ClientConfig,
     out: Vec<u8>,
     decoder: FrameDecoder,
     chunk: Vec<u8>,
@@ -185,8 +184,6 @@ impl Client {
                 Ok(stream) => {
                     return Ok(Client {
                         stream,
-                        peer,
-                        config,
                         out: Vec::new(),
                         decoder: FrameDecoder::new(),
                         chunk: vec![0u8; READ_CHUNK],
@@ -212,18 +209,6 @@ impl Client {
         Ok(stream)
     }
 
-    /// Drop the current stream and re-dial the original peer with the
-    /// original config. On success the client is fresh: any responses
-    /// in flight on the old connection are gone (the receive buffer is
-    /// dropped with them — a partial frame from the old stream must
-    /// not splice onto the new one), so a pipelining caller must
-    /// re-send everything unanswered.
-    pub fn reconnect(&mut self) -> io::Result<()> {
-        self.stream = Self::dial(self.peer, &self.config)?;
-        self.decoder.clear();
-        Ok(())
-    }
-
     /// Whether `TCP_NODELAY` is set on the live stream (it always is —
     /// the socket-level assertion tests check it).
     pub fn nodelay(&self) -> io::Result<bool> {
@@ -232,7 +217,7 @@ impl Client {
 
     /// Transport writes performed so far on this client (every send is
     /// exactly one — the diagnostic behind the single-write framing
-    /// assertions; a reconnect does not reset it).
+    /// assertions).
     pub fn wire_writes(&self) -> u64 {
         self.wire_writes
     }
@@ -397,17 +382,19 @@ impl Client {
     }
 }
 
-/// Client-side span bookkeeping for one load-generator worker context:
+/// Client-side span bookkeeping for one load-generator connection:
 /// mints wire span ids and records the matching
 /// [`ClientSpan`](EventKind::ClientSpan) events into the client tier's
-/// own [`FlightRecorder`].
+/// own [`FlightRecorder`], on the lane of the worker that owns the
+/// connection.
 ///
 /// Span ids must be unique across the whole client process for the
 /// merge join to be unambiguous, and minting must never draw from any
 /// seeded fault/jitter stream (tracing cannot perturb a deterministic
-/// chaos schedule). Both fall out of plain arithmetic: context `ctx`
-/// owns the id range `(ctx + 1) << 40 | seq` — 2^24 contexts, 2^40
-/// requests each, and never span 0 because `ctx + 1 > 0`.
+/// chaos schedule). Both fall out of plain arithmetic: connection
+/// `conn` owns the id range `(conn + 1) << 40 | seq` — 2^24
+/// connections, 2^40 requests each, and never span 0 because
+/// `conn + 1 > 0`.
 ///
 /// Retried sends must mint a **fresh** span per wire attempt — a span
 /// id names one frame, not one logical operation — which is what keeps
@@ -421,13 +408,13 @@ pub struct ClientTracer {
 }
 
 impl ClientTracer {
-    /// A tracer for worker context `ctx`, recording onto the client
-    /// recorder's `Worker(ctx)` lane.
-    pub fn new(recorder: Arc<FlightRecorder>, ctx: usize) -> ClientTracer {
+    /// A tracer for connection `conn` of worker `worker`, recording
+    /// onto the client recorder's `Worker(worker)` lane.
+    pub fn new(recorder: Arc<FlightRecorder>, worker: usize, conn: u64) -> ClientTracer {
         ClientTracer {
             recorder,
-            lane: Lane::Worker(ctx),
-            base: ((ctx as u64) + 1) << 40,
+            lane: Lane::Worker(worker),
+            base: (conn + 1) << 40,
             seq: 0,
         }
     }
@@ -437,7 +424,7 @@ impl ClientTracer {
         self.recorder.enabled()
     }
 
-    /// Mint the next span id for this context (never 0).
+    /// Mint the next span id for this connection (never 0).
     pub fn mint(&mut self) -> u64 {
         self.seq += 1;
         self.base | (self.seq & 0xff_ffff_ffff)
@@ -467,10 +454,11 @@ mod tests {
     use rtas_obs::TraceMode;
 
     #[test]
-    fn tracer_spans_are_unique_across_contexts_and_never_zero() {
+    fn tracer_spans_are_unique_across_connections_and_never_zero() {
         let recorder = Arc::new(FlightRecorder::new(TraceMode::On, 4));
-        let mut a = ClientTracer::new(Arc::clone(&recorder), 0);
-        let mut b = ClientTracer::new(Arc::clone(&recorder), 1);
+        // Two connections of one worker: one lane, disjoint span ids.
+        let mut a = ClientTracer::new(Arc::clone(&recorder), 0, 0);
+        let mut b = ClientTracer::new(Arc::clone(&recorder), 0, 1);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..1000 {
             assert!(seen.insert(a.mint()));
@@ -483,7 +471,7 @@ mod tests {
     #[test]
     fn tracer_records_client_spans_on_its_worker_lane() {
         let recorder = Arc::new(FlightRecorder::new(TraceMode::On, 2));
-        let mut tracer = ClientTracer::new(Arc::clone(&recorder), 1);
+        let mut tracer = ClientTracer::new(Arc::clone(&recorder), 1, 5);
         let span = tracer.mint();
         tracer.record(Op::Tas, span, 12_345);
         let events = recorder.snapshot();

@@ -106,13 +106,6 @@ impl FrameDecoder {
     pub fn has_partial(&self) -> bool {
         self.buf.len() > self.start
     }
-
-    /// Drop all buffered bytes (a client reconnecting mid-frame must
-    /// not splice the old stream's tail onto the new one).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.start = 0;
-    }
 }
 
 /// Connection gauges owned by the server's accept loop: how many
@@ -472,9 +465,9 @@ mod tests {
         dec.push(&frame[..frame.len() - 1]);
         assert!(dec.next_frame().unwrap().is_none());
         assert!(dec.has_partial(), "mid-frame EOF must be classifiable");
-        dec.clear();
+        dec.push(&frame[frame.len() - 1..]);
+        assert!(dec.next_frame().unwrap().is_some());
         assert!(!dec.has_partial());
-        assert!(dec.next_frame().unwrap().is_none());
     }
 
     #[test]

@@ -326,7 +326,7 @@ impl EpochGate {
 /// Cumulative counters live on the key's *shard* (`ShardCounters`), not
 /// the entry — `stats()` then reads a handful of atomics per shard
 /// instead of walking every key under its lock.
-pub struct Entry {
+struct Entry {
     kind: Kind,
     object: ObjectState,
     gate: EpochGate,
@@ -336,7 +336,7 @@ impl std::fmt::Debug for Entry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Entry")
             .field("kind", &self.kind)
-            .field("epoch", &self.epoch())
+            .field("epoch", &self.gate.epoch())
             .finish()
     }
 }
@@ -357,16 +357,6 @@ impl Entry {
             Kind::Tas => layout.tas_registers(),
             Kind::Elect => layout.registers(),
         }
-    }
-
-    /// The key's arbitration semantics.
-    pub fn kind(&self) -> Kind {
-        self.kind
-    }
-
-    /// The currently open epoch.
-    pub fn epoch(&self) -> u64 {
-        self.gate.epoch()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -639,12 +629,6 @@ impl Namespace {
 
     fn shard_of(&self, key: &[u8]) -> &NsShard {
         &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize].0
-    }
-
-    /// The entry for `key`, if it exists (steady state: read lock + Arc
-    /// clone, no allocation).
-    pub fn lookup(&self, key: &[u8]) -> Option<Arc<Entry>> {
-        self.shard_of(key).map.read().unwrap().get(key).cloned()
     }
 
     fn get_or_create(

@@ -2,10 +2,9 @@
 //! arena recycling, closed/open-loop driving, churn, seed-reproducible
 //! offered load, and the report it emits.
 
-use rtas::native::NativeRunner;
 use rtas::Backend;
 use rtas_load::driver::{run_load, LoadSpec, Mode, Slo};
-use rtas_load::{ArrivalSchedule, TasArena};
+use rtas_load::{ArrivalSchedule, LoadTarget, TasArena};
 
 #[test]
 fn arena_reuse_over_100_epochs_under_contention() {
@@ -169,9 +168,10 @@ fn slo_checks_read_the_overall_distribution() {
 
 #[test]
 fn arena_epochs_continue_across_driver_runs() {
-    // A reused arena (the bench path) continues epoch numbering instead
-    // of colliding with completed epochs.
-    let arena = std::sync::Arc::new(TasArena::new(Backend::LogStar, 2, 2));
+    // A reused arena (the bench path): every run leaves each shard
+    // recycled and builds a fresh epoch gate, so the next run's epochs
+    // continue on clean objects without any offset.
+    let arena = TasArena::new(Backend::LogStar, 2, 2);
     let spec = LoadSpec {
         backend: Backend::LogStar,
         threads: 4,
@@ -183,20 +183,25 @@ fn arena_epochs_continue_across_driver_runs() {
         conns: None,
     };
     let first = rtas_load::run_load_on(&arena, spec);
-    assert_eq!(arena.epochs_completed(0), 20);
     let second = rtas_load::run_load_on(&arena, spec);
-    assert_eq!(arena.epochs_completed(0), 40);
+    for out in [&first, &second] {
+        assert_eq!(out.resolutions(), 40, "20 epochs per shard");
+        for cell in out.recorder.shard_stats() {
+            assert_eq!(cell.wins, 20, "one winner per epoch on every shard");
+        }
+    }
     assert_eq!(first.total_wins() + second.total_wins(), 80);
 }
 
 #[test]
 fn solo_arena_resolve_is_reusable_from_a_bare_runner() {
     // Smallest possible harness: one shard, group of one, driven
-    // directly without the driver.
+    // directly without the driver — each resolution is one acquire
+    // (the lone caller wins) and its recycle.
     let arena = TasArena::new(Backend::Combined, 1, 1);
-    let mut runner = NativeRunner::new();
+    let mut runner = arena.context();
     for epoch in 0..150 {
-        assert!(arena.resolve(0, epoch, &mut runner));
+        assert!(arena.acquire(&mut runner, 0), "epoch {epoch}");
+        arena.recycle(&mut runner, 0, epoch);
     }
-    assert_eq!(arena.wins(0), 150);
 }

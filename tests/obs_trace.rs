@@ -11,9 +11,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rtas_load::chaos::{run_load_chaos, run_load_chaos_traced};
 use rtas_load::driver::{LoadSpec, Mode, Warmup};
-use rtas_load::scrape_svc_extras;
+use rtas_load::{run_load_remote, scrape_svc_extras};
 use rtas_svc::obs::{
     audit_events, decode_dump, merge_spans, render_timeline, EventKind, FlightRecorder,
 };
@@ -48,7 +47,8 @@ fn chaos_run_dump_accounts_for_every_observed_reclaim() {
     .expect("bind loopback");
     let addr = srv.addr().to_string();
     let chaos = ChaosSpec::parse("stall=1.0,stall-ms=10,skip-reset=0.5").unwrap();
-    let out = run_load_chaos(&addr, spec(2, 1, 120), FaultPlan::new(chaos, 7)).expect("chaos run");
+    let out = run_load_remote(&addr, spec(2, 1, 120), Some(FaultPlan::new(chaos, 7)), None)
+        .expect("chaos run");
     assert!(
         out.reclaimed > 0,
         "the stalled cell must strand epochs: {:?}",
@@ -129,10 +129,10 @@ fn drop_heavy_chaos_traced_on_both_tiers_merges_and_audits_clean() {
     let addr = srv.addr().to_string();
     let chaos = ChaosSpec::preset("drop-heavy").expect("preset");
     let recorder = Arc::new(FlightRecorder::new(TraceMode::On, 2));
-    let out = run_load_chaos_traced(
+    let out = run_load_remote(
         &addr,
         spec(2, 1, 160),
-        FaultPlan::new(chaos, 7),
+        Some(FaultPlan::new(chaos, 7)),
         Some(Arc::clone(&recorder)),
     )
     .expect("traced chaos run");

@@ -2,16 +2,24 @@
 //! loopback server with lease reclamation and read deadlines, driven
 //! through the deterministic chaos layer. Every cell upholds the one
 //! safety bar (at most one winner per key-epoch, enforced fail-fast
-//! inside `ChaosTarget::resolve`), and the delay-only cell proves the
-//! determinism guarantee: the same `--chaos-seed` replays the
-//! identical fault schedule and winner sets.
+//! by the remote target's winner ledger), and the delay-only cell
+//! proves the determinism guarantee: the same `--chaos-seed` replays
+//! the identical fault schedule and winner sets, one connection per
+//! worker or many.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use rtas_load::chaos::run_load_chaos;
 use rtas_load::driver::{LoadSpec, Mode, TargetKind, Warmup};
+use rtas_load::remote::{run_load_remote, RemoteOutcome};
+use rtas_svc::obs::FlightRecorder;
 use rtas_svc::server::SvcConfig;
 use rtas_svc::{ChaosSpec, FaultPlan, Server, TraceMode};
+
+/// One untraced run of `spec` against `addr` under `plan`'s faults.
+fn run_chaos(addr: &str, spec: LoadSpec, plan: FaultPlan) -> RemoteOutcome {
+    run_load_remote(addr, spec, Some(plan), None).expect("chaos run")
+}
 
 fn hostile_server(lease_ms: u64) -> Server {
     hostile_server_traced(lease_ms, TraceMode::Off)
@@ -47,7 +55,7 @@ fn clean_cell_matches_the_plain_remote_path() {
     let srv = hostile_server(200);
     let addr = srv.addr().to_string();
     let plan = FaultPlan::new(ChaosSpec::default(), 7);
-    let out = run_load_chaos(&addr, spec(4, 2, 2_000), plan).expect("chaos run");
+    let out = run_chaos(&addr, spec(4, 2, 2_000), plan);
 
     assert_eq!(out.outcome.total_ops(), 2_000);
     assert_eq!(
@@ -104,8 +112,7 @@ fn delay_only_same_seed_replays_identical_schedules_and_winner_sets() {
     for _ in 0..2 {
         let srv = hostile_server(200);
         let addr = srv.addr().to_string();
-        let out = run_load_chaos(&addr, spec(4, 2, 2_000), FaultPlan::new(chaos.clone(), 7))
-            .expect("chaos run");
+        let out = run_chaos(&addr, spec(4, 2, 2_000), FaultPlan::new(chaos.clone(), 7));
         srv.shutdown();
         outs.push(out);
     }
@@ -135,19 +142,55 @@ fn delay_only_same_seed_replays_identical_schedules_and_winner_sets() {
 }
 
 #[test]
+fn delay_only_fan_out_replays_identical_schedules_and_winner_sets() {
+    // The same cell with two connections per worker: connection `i` of
+    // worker context `k` replays fault stream `2k + i`, so a fan-out
+    // run is as deterministic as the one-connection fleet.
+    let chaos = ChaosSpec::preset("delay-only").unwrap();
+    let mut fan_out = spec(4, 2, 2_000);
+    fan_out.conns = Some(8);
+    let mut outs = Vec::new();
+    for _ in 0..2 {
+        let srv = hostile_server(200);
+        let addr = srv.addr().to_string();
+        outs.push(run_chaos(&addr, fan_out, FaultPlan::new(chaos.clone(), 7)));
+        srv.shutdown();
+    }
+    let (x, y) = (&outs[0], &outs[1]);
+    assert!(x.counts.delays > 0, "the delay cell must inject delays");
+    assert_eq!(x.counts, y.counts, "bit-identical fault schedules");
+    assert_eq!(x.winners, y.winners, "identical winner sets");
+    assert_eq!(x.outcome.total_ops(), 2_000);
+    assert_eq!(x.outcome.total_wins(), x.outcome.resolutions());
+    let report = x.outcome.bench_report();
+    assert_eq!(report.name(), "svc_chaos");
+    for row in report.rows() {
+        assert!(row.labels.contains(&("conns".into(), "8".into())));
+    }
+}
+
+#[test]
 fn tracing_never_perturbs_the_fault_schedule() {
     // The flight recorder deliberately samples with pure arithmetic and
     // all fault RNG lives client-side, so running the identical seeded
-    // cell against a traced and an untraced server must replay the
-    // bit-identical fault schedule and winner sets. This is the guard
-    // that keeps `--trace on` out of the determinism contract.
+    // cell untraced and traced on both tiers (server recorder on, client
+    // spans minted per wire attempt) must replay the bit-identical fault
+    // schedule and winner sets. This is the guard that keeps `--trace
+    // on` out of the determinism contract.
     let chaos = ChaosSpec::preset("delay-only").unwrap();
     let mut outs = Vec::new();
     for trace in [TraceMode::Off, TraceMode::On] {
         let srv = hostile_server_traced(200, trace);
         let addr = srv.addr().to_string();
-        let out = run_load_chaos(&addr, spec(4, 2, 2_000), FaultPlan::new(chaos.clone(), 7))
+        let client = trace
+            .enabled()
+            .then(|| Arc::new(FlightRecorder::new(trace, 4)));
+        let plan = FaultPlan::new(chaos.clone(), 7);
+        let out = run_load_remote(&addr, spec(4, 2, 2_000), Some(plan), client.clone())
             .expect("chaos run");
+        if let Some(client) = client {
+            assert!(!client.snapshot().is_empty(), "client spans recorded");
+        }
         srv.shutdown();
         outs.push(out);
     }
@@ -174,8 +217,7 @@ fn drop_heavy_cell_survives_severed_and_torn_connections() {
     let chaos = ChaosSpec::parse("drop-heavy,drop=0.05,truncate=0.02").unwrap();
     let srv = hostile_server(100);
     let addr = srv.addr().to_string();
-    let out =
-        run_load_chaos(&addr, spec(4, 2, 2_000), FaultPlan::new(chaos, 7)).expect("chaos run");
+    let out = run_chaos(&addr, spec(4, 2, 2_000), FaultPlan::new(chaos, 7));
     assert_eq!(out.outcome.total_ops(), 2_000, "every op gets a verdict");
     assert!(out.counts.drops > 0, "drops must fire: {:?}", out.counts);
     assert!(out.counts.truncations > 0, "truncations must fire");
@@ -205,7 +247,7 @@ fn stalled_holders_are_reclaimed_by_the_lease() {
     let chaos = ChaosSpec::parse("stall=1.0,stall-ms=10,skip-reset=0.5").unwrap();
     let srv = hostile_server(2);
     let addr = srv.addr().to_string();
-    let out = run_load_chaos(&addr, spec(2, 1, 120), FaultPlan::new(chaos, 7)).expect("chaos run");
+    let out = run_chaos(&addr, spec(2, 1, 120), FaultPlan::new(chaos, 7));
     assert_eq!(out.outcome.total_ops(), 120);
     assert!(out.counts.stalls > 0, "stalls must fire: {:?}", out.counts);
     assert!(out.counts.skipped_resets > 0, "skipped acks must fire");
@@ -238,8 +280,7 @@ fn byzantine_duplicate_acks_are_defused_by_the_zero_admission_guard() {
     let chaos = ChaosSpec::parse("dup-reset=1.0").unwrap();
     let srv = hostile_server(200);
     let addr = srv.addr().to_string();
-    let out =
-        run_load_chaos(&addr, spec(4, 2, 2_000), FaultPlan::new(chaos, 7)).expect("chaos run");
+    let out = run_chaos(&addr, spec(4, 2, 2_000), FaultPlan::new(chaos, 7));
     assert_eq!(out.outcome.total_ops(), 2_000);
     assert!(out.counts.dup_resets > 0, "duplicate acks must fire");
     assert_eq!(
@@ -260,8 +301,7 @@ fn byzantine_preset_cell_upholds_safety_under_the_full_mix() {
     let chaos = ChaosSpec::preset("byzantine-reset").unwrap();
     let srv = hostile_server(5);
     let addr = srv.addr().to_string();
-    let out =
-        run_load_chaos(&addr, spec(4, 2, 2_000), FaultPlan::new(chaos, 7)).expect("chaos run");
+    let out = run_chaos(&addr, spec(4, 2, 2_000), FaultPlan::new(chaos, 7));
     assert_eq!(out.outcome.total_ops(), 2_000);
     assert!(out.counts.injected() > 0, "the mix must inject faults");
     // Each observed winner epoch appears exactly once per shard by

@@ -4,10 +4,16 @@
 //! (same seed ⇒ identical offered schedule), and the `svc_load` report
 //! identity.
 
-use rtas_load::driver::{LoadSpec, Mode, TargetKind, Warmup};
+use rtas_load::driver::{LoadOutcome, LoadSpec, Mode, TargetKind, Warmup};
 use rtas_load::remote::{run_load_remote, RemoteTarget};
 use rtas_load::LoadTarget;
-use rtas_svc::server;
+use rtas_svc::client::ClientError;
+use rtas_svc::{server, ChaosSpec, FaultPlan};
+
+/// A plain remote run: the clean plan, untraced.
+fn run_plain(addr: &str, spec: LoadSpec) -> Result<LoadOutcome, ClientError> {
+    run_load_remote(addr, spec, None, None).map(|run| run.outcome)
+}
 
 fn spec(threads: usize, shards: usize, mode: Mode) -> LoadSpec {
     LoadSpec {
@@ -30,8 +36,8 @@ fn acceptance_eight_clients_sustain_50k_keyed_resolutions() {
     // win accounting on the client side AND the server's own counters.
     let srv = server::spawn_local(rtas::Backend::Combined, 8, 8).expect("bind loopback");
     let addr = srv.addr().to_string();
-    let out = run_load_remote(&addr, spec(8, 4, Mode::Closed { total_ops: 100_000 }))
-        .expect("remote run");
+    let out =
+        run_plain(&addr, spec(8, 4, Mode::Closed { total_ops: 100_000 })).expect("remote run");
 
     assert_eq!(out.total_ops(), 100_000);
     assert_eq!(out.resolutions(), 50_000, "50k keyed resolutions");
@@ -69,7 +75,7 @@ fn remote_open_loop_same_seed_same_offered_load() {
     for _ in 0..2 {
         let srv = server::spawn_local(rtas::Backend::Combined, 4, 4).expect("bind loopback");
         let addr = srv.addr().to_string();
-        outs.push(run_load_remote(&addr, spec(4, 2, mode)).expect("remote run"));
+        outs.push(run_plain(&addr, spec(4, 2, mode)).expect("remote run"));
         srv.shutdown();
     }
     let (x, y) = (&outs[0], &outs[1]);
@@ -104,8 +110,8 @@ fn remote_target_reuse_continues_epochs_and_survives_stale_keys() {
     let srv = server::spawn_local(rtas::Backend::LogStar, 2, 2).expect("bind loopback");
     let addr = srv.addr().to_string();
     for _ in 0..2 {
-        let out = run_load_remote(&addr, spec(4, 2, Mode::Closed { total_ops: 400 }))
-            .expect("remote run");
+        let out =
+            run_plain(&addr, spec(4, 2, Mode::Closed { total_ops: 400 })).expect("remote run");
         assert_eq!(out.total_ops(), 400);
         assert_eq!(out.total_wins(), out.resolutions());
     }
@@ -116,11 +122,17 @@ fn remote_target_reuse_continues_epochs_and_survives_stale_keys() {
 fn remote_target_exposes_driver_coordinates() {
     let srv = server::spawn_local(rtas::Backend::Combined, 2, 4).expect("bind loopback");
     let addr = srv.addr().to_string();
-    let target = RemoteTarget::new(&addr, 3, 4).expect("probe");
+    let clean = FaultPlan::new(ChaosSpec::default(), 0);
+    let target = RemoteTarget::new(
+        &addr,
+        &spec(12, 3, Mode::Closed { total_ops: 12 }),
+        clean,
+        None,
+    )
+    .expect("probe");
     assert_eq!(target.shards(), 3);
     assert_eq!(target.group(), 4);
     assert_eq!(target.addr(), addr);
-    assert_eq!(target.base_epochs(), vec![0, 0, 0]);
     assert!(target.registers() > 0);
     srv.shutdown();
 }
@@ -129,11 +141,52 @@ fn remote_target_exposes_driver_coordinates() {
 fn remote_run_against_nothing_fails_gracefully() {
     // A dead address must surface as an error from the probe, not a
     // worker panic mid-run.
-    let err = run_load_remote(
+    let err = run_plain(
         "127.0.0.1:1", // reserved port, nothing listens there
         spec(2, 1, Mode::Closed { total_ops: 10 }),
     );
     assert!(err.is_err());
+}
+
+#[test]
+fn fan_out_redials_connections_the_read_deadline_closed() {
+    // Two workers round-robin two connections each at 20 ops/s, so a
+    // connection idles ~200 ms between uses, twice the server's read
+    // deadline. The server answers each idle connection with
+    // `ERR "read deadline expired"` and closes it; the client must
+    // treat that as a dead stream, redial and re-send, and keep exact
+    // win accounting.
+    let srv = server::Server::spawn(server::SvcConfig {
+        read_timeout: Some(std::time::Duration::from_millis(100)),
+        ..server::SvcConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = srv.addr().to_string();
+    let mut s = spec(
+        2,
+        1,
+        Mode::Open {
+            rate: 20.0,
+            duration_secs: 1.0,
+        },
+    );
+    s.conns = Some(4);
+    let out = run_plain(&addr, s).expect("remote run");
+    assert!(out.total_ops() > 0);
+    let errors = out.recorder.errors();
+    assert!(
+        errors.reconnects > 0,
+        "idle connections redialed: {errors:?}"
+    );
+    assert!(errors.retries >= errors.reconnects, "{errors:?}");
+    assert_eq!(out.total_wins(), out.resolutions());
+    let report = out.bench_report();
+    let total = report.rows().last().expect("total row");
+    assert!(total
+        .extra
+        .iter()
+        .any(|(k, v)| k == "err_reconnects" && *v == errors.reconnects as f64));
+    srv.shutdown();
 }
 
 #[test]
@@ -142,7 +195,7 @@ fn remote_warmup_is_driven_but_unrecorded() {
     let addr = srv.addr().to_string();
     let mut s = spec(4, 2, Mode::Closed { total_ops: 200 });
     s.warmup = Warmup::Ops(40);
-    let out = run_load_remote(&addr, s).expect("remote run");
+    let out = run_plain(&addr, s).expect("remote run");
     assert_eq!(out.total_ops(), 200);
     assert_eq!(out.warmup_ops, 40);
     assert_eq!(out.resolutions(), 120);
