@@ -70,7 +70,7 @@ use rtas_algorithms::{Combined, Frame, LeaderElect, LogLogLe, LogStarLe, SpaceEf
 use rtas_sim::memory::Memory;
 use rtas_sim::protocol::ret;
 
-use native::{NativeMemory, NativeRunner};
+use native::{BlockPool, NativeMemory, NativeRunner};
 
 /// Which algorithm backs a [`TestAndSet`] / [`LeaderElection`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,22 +116,32 @@ impl Backend {
 
 /// The shape of one leader-election object for a `(backend, capacity)`
 /// pair: the root frame every `elect()` starts from (it carries the
-/// protocol's descriptors) and the register count.
+/// protocol's descriptors), the register count, and where each register
+/// lives in an object's block.
 ///
 /// Computing a layout lays the algorithm out on a scratch simulator
-/// [`Memory`]; the result is under a kilobyte of `Copy` data.
-/// [`Layout::shared`] computes each `(backend, capacity)` layout once
-/// per process, and every object of that shape — every key of a keyed
-/// service, every shard of an arena, every object built with
-/// `with_backend` — shares it and owns only an [`ObjectState`]: a zeroed
-/// register block and its counters.
-#[derive(Debug, Clone, Copy)]
+/// [`Memory`] and runs a few solo `elect()`s there to find the
+/// registers an uncontended epoch touches; every object's block is
+/// rotated so that those come together at its front (see
+/// [`native::NativeMemory`]). [`Layout::shared`]
+/// computes each `(backend, capacity)` layout once per process, and
+/// every object of that shape — every key of a keyed service, every
+/// shard of an arena, every object built with `with_backend` — shares
+/// it and owns only an [`ObjectState`]: its register block and its
+/// counters. The blocks are carved out of zeroed chunks the layout
+/// shares among its objects, so an object commits memory only for the
+/// pages its epochs write: about one 4 KiB page for a Combined object
+/// of capacity 64 that only ever sees solo epochs, of its 20,384 bytes
+/// of declared registers.
+#[derive(Debug)]
 pub struct Layout {
     /// The root frame of a fresh `elect()`.
     start: Frame,
     registers: u64,
     capacity: usize,
     backend: Backend,
+    /// The register blocks of this layout's objects.
+    blocks: BlockPool,
 }
 
 impl Layout {
@@ -178,11 +188,18 @@ impl Layout {
             mem.dense_registers(),
             "native objects need dense registers"
         );
+        let start = root.frame();
+        // A solo caller takes slot 0; the coins of its first 64 epochs
+        // stand for those of the solo epochs to come.
+        let rotation =
+            native::solo_first_rotation(&start, &mut mem, (0..64).map(|epoch| seed(0, epoch)));
+        let registers = mem.declared_registers();
         Layout {
-            start: root.frame(),
-            registers: mem.declared_registers(),
+            start,
+            registers,
             capacity,
             backend,
+            blocks: BlockPool::new(registers as usize, rotation),
         }
     }
 
@@ -208,9 +225,12 @@ impl Layout {
     }
 
     /// A fresh object of this layout: zeroed registers, no participant.
+    /// Its register block is the next one of the layout's current
+    /// chunk, so creating an object allocates once per chunk and
+    /// writes no register.
     pub fn state(&self) -> ObjectState {
         ObjectState {
-            memory: NativeMemory::zeroed(self.registers as usize),
+            memory: self.blocks.take(),
             issued: AtomicUsize::new(0),
             epoch: AtomicU64::new(0),
             done: AtomicU64::new(0),
@@ -230,18 +250,7 @@ impl Layout {
             "more than {} participants entered a one-shot object",
             self.capacity
         );
-        // Per-(slot, epoch) deterministic seeding keeps runs reproducible
-        // while giving each participant an independent coin stream and
-        // each reuse epoch fresh randomness.
-        let seed = 0x7a5_u64
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(slot as u64)
-            .wrapping_add(
-                state
-                    .epoch
-                    .load(Ordering::Relaxed)
-                    .wrapping_mul(0x9e37_79b9),
-            );
+        let seed = seed(slot, state.epoch.load(Ordering::Relaxed));
         runner.run(&self.start, &state.memory, slot, seed) == ret::WIN
     }
 
@@ -263,6 +272,16 @@ impl Layout {
         state.done.store(1, Ordering::SeqCst);
         true
     }
+}
+
+/// The coin seed of participation slot `slot` in reuse epoch `epoch`:
+/// deterministic, so runs are reproducible, while each participant gets
+/// an independent coin stream and each reuse epoch fresh randomness.
+fn seed(slot: usize, epoch: u64) -> u64 {
+    0x7a5_u64
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(slot as u64)
+        .wrapping_add(epoch.wrapping_mul(0x9e37_79b9))
 }
 
 /// One recyclable object's mutable state — its registers and

@@ -24,6 +24,7 @@
 mod driver;
 
 pub use driver::{run_protocol, NativeMemory, NativeRunner};
+pub(crate) use driver::{solo_first_rotation, BlockPool};
 
 #[cfg(test)]
 mod tests {

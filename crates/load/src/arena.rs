@@ -5,11 +5,12 @@
 //! so the arena recycles a fixed pool instead of constructing a fresh
 //! object per resolution:
 //!
-//! * **Shards** — `shards` independent test-and-set objects, each in its
-//!   own register block behind cache-line padding, so resolutions on
-//!   different shards never false-share. Every shard runs the arena's
-//!   one [`Layout`], computed once; a shard owns only its registers and
-//!   counters ([`ObjectState`]).
+//! * **Shards** — `shards` independent test-and-set objects, each behind
+//!   cache-line padding and in its own register block, which starts on
+//!   a cache line of its own, so resolutions on different shards never
+//!   false-share. Every shard runs the arena's one [`Layout`], computed
+//!   once; a shard owns only its registers and counters
+//!   ([`ObjectState`]).
 //! * **Epochs** — the driver's per-shard epoch gate (see
 //!   [`crate::driver`]) admits exactly `group` participants into each
 //!   epoch, and its **last finisher** calls

@@ -46,7 +46,11 @@
 //! store. The recycle therefore happens-before every next-epoch
 //! operation. Because the gate starts at epoch 0 on every run and every
 //! run ends with each shard recycled, a target can be driven again
-//! without any epoch offset.
+//! without any epoch offset. A worker that panics (a request out of
+//! retries, a failed redial, a second winner) leaves its epoch open
+//! for good, so it poisons the gate as it unwinds: its peers stop
+//! waiting and panic too, and the run fails naming the first failure
+//! instead of hanging.
 //!
 //! **Warmup.** [`Warmup::Ops`] (closed loop) runs a fixed count of
 //! unrecorded operations per worker, then releases the measured
@@ -62,7 +66,7 @@
 //! [`TasArena`]: crate::arena::TasArena
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 use rtas::sync::{Backoff, CachePadded};
@@ -128,6 +132,29 @@ struct EpochGate<'t, T> {
     target: &'t T,
     group: usize,
     shards: Vec<CachePadded<ShardGate>>,
+    /// The run's first failure, set when a worker unwinds: an epoch the
+    /// dead worker was part of never closes, so its peers must stop
+    /// waiting for it.
+    poison: OnceLock<String>,
+}
+
+/// Poisons its run's gate if its worker unwinds (see
+/// [`EpochGate::watch`]).
+struct PoisonOnUnwind<'g> {
+    poison: &'g OnceLock<String>,
+    worker: usize,
+}
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Only the first failure is kept: the peers it brings down
+            // unwind through their own guards too.
+            let _ = self
+                .poison
+                .set(format!("load worker {} panicked", self.worker));
+        }
+    }
 }
 
 impl<'t, T: LoadTarget> EpochGate<'t, T> {
@@ -138,7 +165,29 @@ impl<'t, T: LoadTarget> EpochGate<'t, T> {
             shards: (0..target.shards())
                 .map(|_| CachePadded(ShardGate::default()))
                 .collect(),
+            poison: OnceLock::new(),
         }
+    }
+
+    /// A guard for `worker`'s thread: held for the thread's whole life,
+    /// it poisons the gate if the thread unwinds, so that every
+    /// [`EpochGate::resolve`] waiting on an epoch the worker will never
+    /// finish panics instead of spinning forever.
+    fn watch(&self, worker: usize) -> PoisonOnUnwind<'_> {
+        PoisonOnUnwind {
+            poison: &self.poison,
+            worker,
+        }
+    }
+
+    /// Fail the run after a worker's join returned its panic, naming the
+    /// first failure.
+    fn abandon(&self) -> ! {
+        let failure = self
+            .poison
+            .get()
+            .map_or("a load worker panicked", String::as_str);
+        panic!("load run failed: {failure}")
     }
 
     /// One operation of `epoch` on `shard`: wait for the epoch to open,
@@ -148,7 +197,9 @@ impl<'t, T: LoadTarget> EpochGate<'t, T> {
     /// # Panics
     ///
     /// Panics if `epoch` has already closed: the open epoch only
-    /// advances, so waiting for the past would spin forever.
+    /// advances, so waiting for the past would spin forever. Panics too
+    /// if a worker of the run has died while this call waits (see
+    /// [`EpochGate::watch`]): the epoch may never open.
     fn resolve(&self, ctx: &mut T::Ctx, shard: usize, epoch: u64) -> bool {
         let gate = &self.shards[shard].0;
         // Spin briefly, then yield: workloads with more workers than
@@ -163,6 +214,9 @@ impl<'t, T: LoadTarget> EpochGate<'t, T> {
                 open < epoch,
                 "epoch {epoch} already closed (shard {shard} is at {open})"
             );
+            if let Some(failure) = self.poison.get() {
+                panic!("{failure}: epoch {epoch} of shard {shard} may never open");
+            }
             backoff.snooze();
         }
         let won = self.target.acquire(ctx, shard);
@@ -698,6 +752,10 @@ fn run_closed<T: LoadTarget>(
                 s.spawn(move || {
                     let mut ctx = ctx;
                     let mut rendezvous = Rendezvous::new(barrier);
+                    // Declared after the rendezvous, so dropped before
+                    // it: a worker that dies in warmup poisons the gate
+                    // before it waits at the barrier for its peers.
+                    let _poison = gate.watch(slot);
                     let shard = slot % shards;
                     let mut recorder = LoadRecorder::new(shards);
                     let mut warmup = WarmupTally::default();
@@ -746,7 +804,7 @@ fn run_closed<T: LoadTarget>(
         let mut merged = LoadRecorder::new(shards);
         let mut warmup = WarmupTally::default();
         for handle in handles {
-            let (recorder, tally) = handle.join().expect("load worker panicked");
+            let (recorder, tally) = handle.join().unwrap_or_else(|_| gate.abandon());
             merged.merge(&recorder);
             warmup.merge(tally);
         }
@@ -792,6 +850,7 @@ fn run_open<T: LoadTarget>(
                 let gate = &gate;
                 let warm_epochs = &warm_epochs;
                 s.spawn(move || {
+                    let _poison = gate.watch(worker);
                     let mut ctx = ctx;
                     let mut recorder = LoadRecorder::new(shards);
                     let mut warmup = WarmupTally::default();
@@ -833,7 +892,7 @@ fn run_open<T: LoadTarget>(
         let mut merged = LoadRecorder::new(shards);
         let mut warmup = WarmupTally::default();
         for handle in handles {
-            let (recorder, tally) = handle.join().expect("load worker panicked");
+            let (recorder, tally) = handle.join().unwrap_or_else(|_| gate.abandon());
             merged.merge(&recorder);
             warmup.merge(tally);
         }
@@ -1141,6 +1200,81 @@ mod tests {
         assert_eq!(default_shards(5), 1, "prime: solo shard");
         assert_eq!(default_shards(12), 6);
         assert_eq!(default_shards(0), 1);
+    }
+
+    /// One shard, two workers per epoch; the second worker's `acquire`
+    /// panics, so the first waits for an epoch that never opens.
+    #[derive(Default)]
+    struct DyingWorker {
+        workers: AtomicUsize,
+    }
+
+    impl LoadTarget for DyingWorker {
+        type Ctx = usize;
+
+        fn shards(&self) -> usize {
+            1
+        }
+
+        fn group(&self) -> usize {
+            2
+        }
+
+        fn context(&self) -> usize {
+            self.workers.fetch_add(1, Ordering::Relaxed)
+        }
+
+        fn acquire(&self, worker: &mut usize, _: usize) -> bool {
+            assert_eq!(*worker, 0, "injected failure of worker {worker}");
+            true
+        }
+
+        fn recycle(&self, _: &mut usize, _: usize, _: u64) {}
+
+        fn registers(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_dead_worker_fails_the_run_instead_of_hanging() {
+        let closed = Mode::Closed { total_ops: 100 };
+        let open = Mode::Open {
+            rate: 100_000.0,
+            duration_secs: 0.01,
+        };
+        for (mode, warmup) in [
+            (closed, Warmup::None),
+            (closed, Warmup::Ops(10)),
+            (open, Warmup::None),
+        ] {
+            let spec = LoadSpec {
+                mode,
+                warmup,
+                ..closed_spec(2, 1, 0)
+            };
+            let (tx, rx) = std::sync::mpsc::channel();
+            // Detached: if the run hangs, the test fails on the timeout
+            // below and the process exits with the spinner still in it.
+            std::thread::spawn(move || {
+                let run = std::panic::catch_unwind(|| {
+                    run_on_target(&DyingWorker::default(), spec, TargetKind::Native)
+                });
+                let message = run.err().map(|payload| match payload.downcast::<String>() {
+                    Ok(message) => *message,
+                    Err(_) => String::new(),
+                });
+                let _ = tx.send(message);
+            });
+            let failure = rx
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("{mode:?} {warmup:?}: the run hung after a worker died"))
+                .unwrap_or_else(|| panic!("{mode:?} {warmup:?}: the run succeeded"));
+            assert_eq!(
+                failure, "load run failed: load worker 1 panicked",
+                "{mode:?} {warmup:?}"
+            );
+        }
     }
 
     #[test]

@@ -284,6 +284,18 @@ impl Memory {
         self.dense.len() as u64
     }
 
+    /// The ranges [`Memory::alloc`] returned, in allocation (and so in
+    /// id) order.
+    pub fn dense_regions(&self) -> impl Iterator<Item = RegRange> + '_ {
+        self.regions
+            .iter()
+            .filter(|r| !r.start.is_lazy())
+            .map(|r| RegRange {
+                start: r.start,
+                len: r.len,
+            })
+    }
+
     /// Number of registers that were read or written at least once. O(1):
     /// both constituents are maintained incrementally.
     pub fn touched_registers(&self) -> u64 {

@@ -31,11 +31,16 @@
 //!
 //! Every key shares the namespace's one [`Layout`] — the protocol
 //! descriptor and register count, computed once per `(backend,
-//! capacity)` — and owns only an [`ObjectState`]: a zeroed register block
-//! and its counters. The steady-state op path — lookup of an existing
-//! key, admission, protocol run, finish — performs **zero allocations**
-//! (pinned by the counting-allocator test in `tests/alloc_steady.rs`);
-//! only first-contact key creation allocates.
+//! capacity)` — and owns only an [`ObjectState`]: a register block and
+//! its counters. The block is carved out of a zeroed chunk the layout
+//! shares among its keys, with the registers a solo epoch touches at its
+//! front, so a key commits only the pages its epochs write: about
+//! 4.4 KB for a Combined/64 key that only sees solo epochs, of the
+//! 20,392 B it declares (`tests/resident_memory.rs`). The steady-state
+//! op path — lookup of an existing key, admission, protocol run, finish
+//! — performs **zero allocations** (pinned by the counting-allocator
+//! test in `tests/alloc_steady.rs`); only first-contact key creation
+//! allocates.
 //!
 //! ## Leases: reclaiming epochs whose holders vanished
 //!
