@@ -244,14 +244,7 @@ impl Layout {
     ///
     /// Panics if more than `capacity` participants enter one epoch.
     pub fn elect(&self, state: &ObjectState, runner: &mut NativeRunner) -> bool {
-        let slot = state.issued.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            slot < self.capacity,
-            "more than {} participants entered a one-shot object",
-            self.capacity
-        );
-        let seed = seed(slot, state.epoch.load(Ordering::Relaxed));
-        runner.run(&self.start, &state.memory, slot, seed) == ret::WIN
+        self.run(state, runner, self.next_slot(state))
     }
 
     /// One test-and-set participation in `state`'s current epoch,
@@ -263,14 +256,68 @@ impl Layout {
     ///
     /// Panics if more than `capacity` participants elect in one epoch.
     pub fn test_and_set(&self, state: &ObjectState, runner: &mut NativeRunner) -> bool {
+        self.tas_from_le(state, runner, || self.next_slot(state))
+    }
+
+    /// [`Layout::test_and_set`] in participation slot `slot`, which the
+    /// caller assigns instead of the object: each slot at most once per
+    /// epoch. The object's own slot counter is left alone, so a caller
+    /// that already numbers its participants (the keyed namespace's
+    /// admission gate) spends no shared write on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= capacity`.
+    pub fn test_and_set_slot(
+        &self,
+        state: &ObjectState,
+        runner: &mut NativeRunner,
+        slot: usize,
+    ) -> bool {
+        assert!(
+            slot < self.capacity,
+            "slot {slot} is not one of the {} participation slots",
+            self.capacity
+        );
+        self.tas_from_le(state, runner, || slot)
+    }
+
+    /// The TAS-from-LE construction, electing in the slot `slot`
+    /// returns. A caller that reads the bit set loses without electing,
+    /// and its runner records no steps.
+    fn tas_from_le(
+        &self,
+        state: &ObjectState,
+        runner: &mut NativeRunner,
+        slot: impl FnOnce() -> usize,
+    ) -> bool {
         if state.done.load(Ordering::SeqCst) == 1 {
+            runner.skip();
             return true;
         }
-        if self.elect(state, runner) {
+        if self.run(state, runner, slot()) {
             return false;
         }
         state.done.store(1, Ordering::SeqCst);
         true
+    }
+
+    /// The next free participation slot of `state`'s epoch.
+    fn next_slot(&self, state: &ObjectState) -> usize {
+        let slot = state.issued.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            slot < self.capacity,
+            "more than {} participants entered a one-shot object",
+            self.capacity
+        );
+        slot
+    }
+
+    /// Elect in participation slot `slot` of `state`'s epoch; `true`
+    /// iff this caller wins.
+    fn run(&self, state: &ObjectState, runner: &mut NativeRunner, slot: usize) -> bool {
+        let seed = seed(slot, state.epoch.load(Ordering::Relaxed));
+        runner.run(&self.start, &state.memory, slot, seed) == ret::WIN
     }
 }
 
@@ -668,6 +715,32 @@ mod tests {
         assert!(format!("{le:?}").contains("Combined"));
         let tas = TestAndSet::new(2);
         assert!(format!("{tas:?}").contains("capacity"));
+    }
+
+    #[test]
+    fn caller_assigned_slots_skip_the_slot_counter_and_the_bit_skips_the_election() {
+        let layout = Layout::shared(Backend::Combined, 3);
+        let state = layout.state();
+        let mut runner = NativeRunner::new();
+        assert!(
+            !layout.test_and_set_slot(&state, &mut runner, 0),
+            "solo winner"
+        );
+        assert!(runner.steps() > 0);
+        // The winner leaves the bit clear: the next caller elects, loses
+        // and sets it.
+        assert!(layout.test_and_set_slot(&state, &mut runner, 1));
+        assert!(runner.steps() > 0);
+        assert!(layout.test_and_set_slot(&state, &mut runner, 2));
+        assert_eq!(runner.steps(), 0, "the bit was set: no election");
+        assert_eq!(state.issued.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not one of the 2 participation slots")]
+    fn a_slot_beyond_capacity_panics() {
+        let layout = Layout::shared(Backend::LogStar, 2);
+        layout.test_and_set_slot(&layout.state(), &mut NativeRunner::new(), 2);
     }
 
     #[test]

@@ -487,10 +487,16 @@ impl NativeRunner {
         }
     }
 
-    /// Register reads and writes of the last completed run: the
-    /// paper's step count.
+    /// Register reads and writes of the election the last operation
+    /// ran: the paper's step count. 0 after a test-and-set that read its
+    /// bit set and lost without electing.
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// Record an operation that lost without electing.
+    pub(crate) fn skip(&mut self) {
+        self.steps = 0;
     }
 }
 

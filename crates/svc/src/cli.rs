@@ -53,7 +53,7 @@ pub const SERVE_FLAGS: &[Flag] = &[
         name: "--shards",
         value: "<n>",
         default: "8",
-        help: "namespace shards (independent key maps + locks)",
+        help: "namespace shards (independent key tables + creation locks)",
         sample: "4",
     },
     Flag {

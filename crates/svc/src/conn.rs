@@ -22,6 +22,15 @@
 //! a poisoned frame are never interpreted: the stream position is
 //! untrustworthy.
 //!
+//! The connection counts the `TAS`/`ELECT` calls it executes, and its
+//! wins, in a private tally, and adds the tally to the namespace's
+//! counters once per `ingest` — before the burst's responses can be
+//! written, so a client that has read a response finds its call in any
+//! later `STATS` — and before it executes a `STATS` or `METRICS`
+//! request, which then counts every call framed before it on its own
+//! connection. Two connections racing on one key thus share no counter
+//! line per call.
+//!
 //! [`ConnGauges`] is the accept loop's side of the story — live and
 //! refused connection counts, surfaced through the widened `STATS`
 //! frame (a `STATS` request answered by a `Connection` reports the
@@ -34,7 +43,7 @@ use rtas::native::NativeRunner;
 use rtas_obs::{lane_name, EventKind, FlightRecorder, Lane, METRICS_HEADER};
 
 use crate::metrics::SvcMetrics;
-use crate::namespace::{fnv1a, Kind, Namespace};
+use crate::namespace::{fnv1a, Kind, Namespace, Tally};
 use crate::protocol::{
     decode_request, frame_response, frame_response_span, oversized_payload, Op, Request, Response,
     MAX_PAYLOAD,
@@ -188,6 +197,9 @@ pub struct Connection {
     /// arithmetic, deliberately no RNG: tracing must never perturb
     /// seeded fault streams.
     frames: u64,
+    /// Calls and wins not yet added to the namespace's counters (see
+    /// the [module docs](self)).
+    tally: Tally,
 }
 
 impl Connection {
@@ -198,7 +210,8 @@ impl Connection {
 
     /// Feed one read's worth of bytes; decode and execute **every**
     /// complete frame they complete, framing each response into the
-    /// output buffer in request order.
+    /// output buffer in request order. Returns after adding the
+    /// connection's op and win tally to the namespace's counters.
     pub fn ingest(
         &mut self,
         bytes: &[u8],
@@ -225,7 +238,7 @@ impl Connection {
             return ConnStatus::Closed;
         }
         self.decoder.push(bytes);
-        loop {
+        let status = loop {
             // Sample decision for the frame about to be decoded. The
             // clock reads themselves are gated on it, so an untraced (or
             // unsampled) frame pays exactly one branch here.
@@ -251,9 +264,15 @@ impl Connection {
                     let span = decoded.as_ref().map_or(0, |r| r.span);
                     let op_code = decoded.as_ref().map_or(0, |r| r.op.code());
                     let response = match decoded {
-                        Ok(request) => {
-                            execute_obs(namespace, gauges, request, &mut self.runner, obs, timed)
-                        }
+                        Ok(request) => execute_obs(
+                            namespace,
+                            gauges,
+                            request,
+                            &mut self.runner,
+                            &mut self.tally,
+                            obs,
+                            timed,
+                        ),
                         // A clean frame with a bad request: answer and
                         // carry on.
                         Err(e) => Response::Err(e.to_string()),
@@ -279,16 +298,18 @@ impl Connection {
                         }
                     }
                 }
-                Ok(None) => return ConnStatus::Open,
+                Ok(None) => break ConnStatus::Open,
                 Err(e) => {
                     // Framing violation: name it, then poison — the
                     // stream position is untrustworthy.
                     frame_response(&Response::Err(e.to_string()), &mut self.out);
                     self.closed = true;
-                    return ConnStatus::Closed;
+                    break ConnStatus::Closed;
                 }
             }
-        }
+        };
+        namespace.publish(&mut self.tally);
+        status
     }
 
     /// Response bytes accumulated since the last
@@ -309,16 +330,19 @@ impl Connection {
     }
 }
 
-/// Execute one decoded request against the namespace. `STATS` merges
-/// the accept loop's connection gauges into the namespace counters;
-/// `obs` renders the registry into `METRICS` responses; `timed` (the
-/// sample-gated recorder handle) gets `ArbiterVerdict` events and a
-/// `ResetAck` for every ack that opened an epoch.
+/// Execute one decoded request against the namespace. `TAS`/`ELECT`
+/// count into `tally`, which `STATS` and `METRICS` publish before they
+/// read the counters. `STATS` merges the accept loop's connection
+/// gauges into the namespace counters; `obs` renders the registry into
+/// `METRICS` responses; `timed` (the sample-gated recorder handle) gets
+/// `ArbiterVerdict` events and a `ResetAck` for every ack that opened
+/// an epoch.
 pub(crate) fn execute_obs(
     namespace: &Namespace,
     gauges: &ConnGauges,
     request: Request<'_>,
     runner: &mut NativeRunner,
+    tally: &mut Tally,
     obs: Option<&ConnObs<'_>>,
     timed: Option<&ConnObs<'_>>,
 ) -> Response {
@@ -329,7 +353,7 @@ pub(crate) fn execute_obs(
             } else {
                 Kind::Elect
             };
-            match namespace.acquire(kind, request.key, runner) {
+            match namespace.acquire_into(kind, request.key, runner, tally) {
                 Ok(acquired) => {
                     if let Some(o) = timed {
                         o.recorder.record(
@@ -356,12 +380,16 @@ pub(crate) fn execute_obs(
             Response::Reset { epoch }
         }
         Op::Stats => {
+            namespace.publish(tally);
             let mut stats = namespace.stats();
             stats.conns = gauges.live();
             stats.refused = gauges.refused();
             Response::Stats(stats)
         }
-        Op::Metrics => Response::Metrics(render_metrics(namespace, gauges, obs)),
+        Op::Metrics => {
+            namespace.publish(tally);
+            Response::Metrics(render_metrics(namespace, gauges, obs))
+        }
     }
 }
 

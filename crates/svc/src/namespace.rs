@@ -2,10 +2,48 @@
 //!
 //! A [`Namespace`] maps byte-string keys to recyclable arbitration
 //! objects — test-and-set or leader-election semantics over one shared
-//! [`Layout`]. Keys hash (FNV-1a) to **shards** — each shard
-//! is an independently locked map in its own pair of cache lines, so
-//! traffic on unrelated keys never contends on one lock or
-//! false-shares a header.
+//! [`Layout`]. Keys hash (FNV-1a) to **shards**, each in its own pair of
+//! cache lines. A shard finds its keys in an append-only
+//! open-addressing table that lookups read without a lock; only the
+//! creation of a key takes the shard's mutex. Traffic on unrelated keys
+//! never contends on a lock or false-shares a header, and traffic on one
+//! key shares only the cache lines its epoch gate and its object write.
+//!
+//! ## The op path
+//!
+//! Once a key exists, one `TAS` or `ELECT` writes shared memory only
+//! where arbitration needs it:
+//!
+//! * the lookup writes nothing: it compares the hashes stored in the
+//!   shard's table and dereferences an entry only when its hash
+//!   matches. Entries live as long as the namespace, so the lookup
+//!   returns a plain `&Entry`, with no refcount;
+//! * the admission CAS on the key's gate word (below), whose index in
+//!   the epoch is the caller's election slot;
+//! * the protocol's own register writes, if the caller elects;
+//! * one store of the key's bit, if it loses the election;
+//! * the `finished` increment that lets a reset see the epoch quiesce.
+//!
+//! Op and win counts are not on that list. [`Namespace::acquire`] adds
+//! each call to one namespace-wide pair of counters; a connection
+//! tallies its own calls and adds the tally once per burst, and before
+//! it answers `STATS` or `METRICS`.
+//!
+//! ## The doorway
+//!
+//! Both kinds run the paper's TAS-from-LE construction (Preliminaries)
+//! through [`Layout::test_and_set_slot`]: read the key's bit, elect, and
+//! set the bit on a loss. A caller that reads the bit set loses without
+//! electing, so an `ELECT` that arrives after a loser of its epoch has
+//! finished costs one read instead of an election. At most one winner
+//! per key-epoch still holds, for `ELECT` as for `TAS`: only a caller
+//! that completed the election and lost sets the bit, so the bit is set
+//! only once the election's winner is someone else, and a caller turned
+//! away at the bit is one more loser behind that winner. Every caller
+//! that elects is one of the election's at most `capacity`
+//! participants, so when all of them complete exactly one wins.
+//!
+//! ## Epochs
 //!
 //! Each key advances through **epochs**, generalizing the `rtas-load`
 //! arena's release/acquire recycling to *dynamic* membership with an
@@ -16,9 +54,12 @@
 //!   at most `capacity` admissions per epoch, every further caller is
 //!   turned away with a loss verdict (it is certainly not the winner;
 //!   the verdict linearizes after the eventual winner, exactly like the
-//!   fast path of [`rtas::TestAndSet::test_and_set`]);
-//! * admitted operations run the real protocol and then bump a
-//!   `finished` counter with release ordering;
+//!   fast path of [`rtas::TestAndSet::test_and_set`]). The entered count
+//!   before the CAS is the operation's slot: an epoch's first admission
+//!   elects in slot 0, the slot a layout packs the registers of solo
+//!   epochs for;
+//! * admitted operations run the doorway and then bump a `finished`
+//!   counter with release ordering;
 //! * a **reset** (the client's ack, the `RESET` wire op) first claims
 //!   the resetting bit — closing admission — then waits until
 //!   `finished` has caught up with the admitted count (the object is
@@ -66,9 +107,9 @@
 //! a reclamation) is a **no-op** — it returns the open epoch without
 //! recycling, so replayed acks cannot burn epochs.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use rtas::native::NativeRunner;
@@ -84,7 +125,11 @@ use crate::protocol::{Acquired, SvcStats};
 pub enum Kind {
     /// Test-and-set: winner = the call that set the bit.
     Tas,
-    /// Leader election: winner = the elected leader.
+    /// Leader election: winner = the elected leader. It runs behind the
+    /// same bit as a test-and-set (see [the doorway](self#the-doorway)):
+    /// a call that finds the bit set loses without electing, and a key
+    /// of either kind declares the leader election's registers plus the
+    /// bit. The two kinds differ only in name, which first contact fixes.
     Elect,
 }
 
@@ -168,9 +213,10 @@ struct EpochGate {
 }
 
 enum Admission {
-    /// Admitted into `epoch`; the caller must run the protocol and then
-    /// call [`EpochGate::finish`].
-    Admitted { epoch: u64 },
+    /// Admitted into `epoch` as its `slot`-th participant (from 0); the
+    /// caller must run the protocol in that slot and then call
+    /// [`EpochGate::finish`].
+    Admitted { epoch: u64, slot: usize },
     /// Epoch already has `capacity` participants; the caller loses
     /// without touching the object (and must *not* call `finish`).
     Full { epoch: u64 },
@@ -239,6 +285,7 @@ impl EpochGate {
             {
                 return Admission::Admitted {
                     epoch: Self::epoch_of(w),
+                    slot: (w & ENTERED_MASK) as usize,
                 };
             }
         }
@@ -326,12 +373,13 @@ impl EpochGate {
     }
 }
 
-/// One key's state: its recyclable object's registers and counters
-/// (run through the namespace's shared [`Layout`]) and its epoch gate.
-/// Cumulative counters live on the key's *shard* (`ShardCounters`), not
-/// the entry — `stats()` then reads a handful of atomics per shard
-/// instead of walking every key under its lock.
+/// One key: its bytes and kind, its recyclable object's registers and
+/// counters (run through the namespace's shared [`Layout`]) and its
+/// epoch gate. Cumulative counters live on the key's *shard*
+/// (`ShardCounters`) or the namespace, not the entry — `stats()` then
+/// reads a handful of atomics instead of walking every key.
 struct Entry {
+    key: Box<[u8]>,
     kind: Kind,
     object: ObjectState,
     gate: EpochGate,
@@ -347,20 +395,12 @@ impl std::fmt::Debug for Entry {
 }
 
 impl Entry {
-    fn new(kind: Kind, layout: &Layout) -> Self {
+    fn new(key: &[u8], kind: Kind, layout: &Layout) -> Self {
         Entry {
+            key: key.into(),
             kind,
             object: layout.state(),
             gate: EpochGate::new(),
-        }
-    }
-
-    /// Atomic registers of a `kind` object of `layout` (a test-and-set
-    /// adds its bit).
-    fn registers(kind: Kind, layout: &Layout) -> u64 {
-        match kind {
-            Kind::Tas => layout.tas_registers(),
-            Kind::Elect => layout.registers(),
         }
     }
 
@@ -375,7 +415,6 @@ impl Entry {
         key_hash: u64,
         trace: Option<&FlightRecorder>,
     ) -> Acquired {
-        counters.ops.fetch_add(1, Ordering::Relaxed);
         loop {
             match self.gate.admit(layout.capacity() as u64, now_ns, lease_ns) {
                 // The holder never acked: retire its epoch, then ask
@@ -386,14 +425,8 @@ impl Entry {
                 // verdict linearizes right after the epoch's eventual
                 // winner.
                 Admission::Full { epoch } => return Acquired { won: false, epoch },
-                Admission::Admitted { epoch } => {
-                    let won = match self.kind {
-                        Kind::Tas => !layout.test_and_set(&self.object, runner),
-                        Kind::Elect => layout.elect(&self.object, runner),
-                    };
-                    if won {
-                        counters.wins.fetch_add(1, Ordering::Relaxed);
-                    }
+                Admission::Admitted { epoch, slot } => {
+                    let won = !layout.test_and_set_slot(&self.object, runner, slot);
                     self.gate.finish();
                     return Acquired { won, epoch };
                 }
@@ -441,25 +474,217 @@ impl Entry {
     }
 }
 
-/// Per-shard cumulative counters: relaxed increments on the hot path,
-/// relaxed snapshot loads in [`Namespace::stats`]. A `STATS` request
-/// therefore never takes a shard lock and never stalls a TAS/ELECT —
-/// the same lock-free read discipline the epoch gate already uses for
-/// recycling. Every epoch advance (client ack or lease reclamation)
-/// bumps `resets`, so `resets` equals the sum of all live keys' epochs.
+/// Per-shard cumulative counters, bumped off the op path (by key
+/// creation, resets and reclamations) and read with relaxed snapshot
+/// loads in [`Namespace::stats`]. A `STATS` request therefore never
+/// takes a lock and never stalls a TAS/ELECT. Every epoch advance
+/// (client ack or lease reclamation) bumps `resets`, so `resets` equals
+/// the sum of all live keys' epochs.
 #[derive(Debug, Default)]
 struct ShardCounters {
-    ops: AtomicU64,
-    wins: AtomicU64,
     resets: AtomicU64,
     registers: AtomicU64,
     reclaimed: AtomicU64,
 }
 
+/// The namespace's op and win counters, on cache lines of their own:
+/// a publication never invalidates the read-mostly fields every op
+/// loads.
+#[derive(Debug, Default)]
+struct OpCounters {
+    ops: AtomicU64,
+    wins: AtomicU64,
+}
+
+/// Ops and wins a caller has counted but not yet added to its
+/// namespace's counters ([`Namespace::publish`]).
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    ops: u64,
+    wins: u64,
+}
+
+/// Slots of a shard's first table: room for 6 keys at the 3/4 load
+/// limit.
+const FIRST_TABLE_BITS: u32 = 3;
+
+/// One slot of a shard's key table. Empty while `hash` reads 0; the
+/// creator stores `entry` and then `hash`, with release ordering, and
+/// neither changes again.
+#[derive(Debug, Default)]
+struct Slot {
+    /// The key's hash, with 0 stored as 1 (see [`stored_hash`]).
+    hash: AtomicU64,
+    entry: AtomicPtr<Entry>,
+}
+
+/// A hash as a table slot stores it: 0 marks an empty slot, so a hash
+/// of 0 is stored as 1. Two keys that then compare equal are told apart
+/// by their bytes, like any other hash collision.
+fn stored_hash(hash: u64) -> u64 {
+    hash.max(1)
+}
+
+/// An append-only open-addressing table of a power of two of slots,
+/// probed linearly. A probe starts at the slot named by the hash's top
+/// bits: the shard choice (hash modulo the shard count) reads the low
+/// ones for a power-of-two count, so the keys of one shard still spread
+/// over its table.
+#[derive(Debug)]
+struct Table {
+    /// Log2 of the slot count.
+    bits: u32,
+    slots: Box<[Slot]>,
+}
+
+impl Table {
+    fn new(bits: u32) -> Table {
+        Table {
+            bits,
+            slots: (0..1usize << bits).map(|_| Slot::default()).collect(),
+        }
+    }
+
+    /// The slot a probe for `hash` starts at.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.bits)) as usize
+    }
+
+    /// The slot a probe visits after slot `i`.
+    fn next(&self, i: usize) -> usize {
+        (i + 1) & (self.slots.len() - 1)
+    }
+
+    /// The entry of `key`, whose stored hash is `hash`. The table is
+    /// never full, so the probe ends at an empty slot if not before.
+    fn find(&self, hash: u64, key: &[u8]) -> Option<&Entry> {
+        let mut i = self.home(hash);
+        loop {
+            let slot = &self.slots[i];
+            match slot.hash.load(Ordering::Acquire) {
+                0 => return None,
+                h if h == hash => {
+                    // SAFETY: the acquire load above read the hash the
+                    // creator stored after the entry, so it sees the
+                    // entry's pointer and the entry behind it. Entries
+                    // are not freed before the namespace drops.
+                    let entry = unsafe { &*slot.entry.load(Ordering::Relaxed) };
+                    if *entry.key == *key {
+                        return Some(entry);
+                    }
+                }
+                _ => {}
+            }
+            i = self.next(i);
+        }
+    }
+
+    /// Put `entry` in the first empty slot of `hash`'s probe. Only the
+    /// holder of the shard's creation lock inserts.
+    fn insert(&self, hash: u64, entry: *mut Entry) {
+        let mut i = self.home(hash);
+        while self.slots[i].hash.load(Ordering::Relaxed) != 0 {
+            i = self.next(i);
+        }
+        self.slots[i].entry.store(entry, Ordering::Relaxed);
+        self.slots[i].hash.store(hash, Ordering::Release);
+    }
+
+    /// Whether `keys` keys would load the table past 3/4.
+    fn overloaded_by(&self, keys: usize) -> bool {
+        keys * 4 > self.slots.len() * 3
+    }
+}
+
+/// What a shard's creation lock guards: every entry of the shard and
+/// every table it has published, the current one last. They stay
+/// allocated until the namespace drops, because a lookup may still hold
+/// an entry or probe a retired table.
+#[derive(Debug, Default)]
+struct Owned {
+    /// Leaked boxes, in creation order.
+    entries: Vec<NonNull<Entry>>,
+    /// Leaked boxes, the current table last.
+    tables: Vec<NonNull<Table>>,
+}
+
+// SAFETY: `Owned` is the only owner of the boxes its pointers came
+// from, and `Entry` and `Table` are `Send`.
+unsafe impl Send for Owned {}
+
+impl Drop for Owned {
+    fn drop(&mut self) {
+        // SAFETY: each pointer is a leaked box, listed once; the
+        // namespace is being dropped, so no lookup holds one.
+        unsafe {
+            for entry in self.entries.drain(..) {
+                drop(Box::from_raw(entry.as_ptr()));
+            }
+            for table in self.tables.drain(..) {
+                drop(Box::from_raw(table.as_ptr()));
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 struct NsShard {
-    map: RwLock<HashMap<Box<[u8]>, Arc<Entry>>>,
+    /// The current table; null until the shard's first key.
+    table: AtomicPtr<Table>,
+    /// Serializes key creation.
+    owned: Mutex<Owned>,
     counters: ShardCounters,
+}
+
+impl NsShard {
+    fn new() -> Self {
+        NsShard {
+            table: AtomicPtr::new(std::ptr::null_mut()),
+            owned: Mutex::new(Owned::default()),
+            counters: ShardCounters::default(),
+        }
+    }
+
+    /// The entry of `key` (hashed to `hash`), without a lock and
+    /// without a write.
+    fn find(&self, hash: u64, key: &[u8]) -> Option<&Entry> {
+        // SAFETY: a non-null pointer is a table `insert` published with
+        // a release store; tables are never freed before the shard.
+        let table = unsafe { self.table.load(Ordering::Acquire).as_ref() }?;
+        table.find(stored_hash(hash), key)
+    }
+
+    /// Add `entry` under `hash`, growing the table first if it would
+    /// pass 3/4 load. The caller holds the creation lock as `owned`.
+    fn insert(&self, owned: &mut Owned, hash: u64, entry: Entry) -> &Entry {
+        let entry = NonNull::from(Box::leak(Box::new(entry)));
+        owned.entries.push(entry);
+        let hash = stored_hash(hash);
+        // SAFETY: tables live until the shard drops.
+        let current = owned.tables.last().map(|t| unsafe { t.as_ref() });
+        match current {
+            Some(table) if !table.overloaded_by(owned.entries.len()) => {
+                table.insert(hash, entry.as_ptr());
+            }
+            _ => {
+                // Double the table from the stored hashes, then publish
+                // it whole with one release store.
+                let grown = Table::new(current.map_or(FIRST_TABLE_BITS, |t| t.bits + 1));
+                for slot in current.iter().flat_map(|t| t.slots.iter()) {
+                    let old = slot.hash.load(Ordering::Relaxed);
+                    if old != 0 {
+                        grown.insert(old, slot.entry.load(Ordering::Relaxed));
+                    }
+                }
+                grown.insert(hash, entry.as_ptr());
+                let grown = NonNull::from(Box::leak(Box::new(grown)));
+                owned.tables.push(grown);
+                self.table.store(grown.as_ptr(), Ordering::Release);
+            }
+        }
+        // SAFETY: `owned` frees the entry only when the shard drops.
+        unsafe { entry.as_ref() }
+    }
 }
 
 /// The sharded keyed namespace. See the [module docs](self).
@@ -469,9 +694,10 @@ pub struct Namespace {
     /// The one layout every key's object shares.
     layout: &'static Layout,
     max_keys: usize,
-    /// Live keys across all shards (maintained under the shard write
-    /// locks, read lock-free by the admission check — the ceiling may
-    /// overshoot by at most one in-flight creation per shard).
+    /// Live keys across all shards (maintained under the shards'
+    /// creation locks, read lock-free by the admission check — the
+    /// ceiling may overshoot by at most one in-flight creation per
+    /// shard).
     key_count: AtomicUsize,
     /// Lease duration in nanoseconds for admitted epochs; `0` disables
     /// reclamation entirely (the default — the hot path then never
@@ -485,6 +711,8 @@ pub struct Namespace {
     /// Flight recorder for lease-reclaim events, if tracing is wired up
     /// ([`Namespace::attach_recorder`]).
     trace: Option<Arc<FlightRecorder>>,
+    /// Published op and win counts ([`Namespace::publish`]).
+    counts: CachePadded<OpCounters>,
 }
 
 /// FNV-1a: tiny, allocation-free, and deterministic — the shard choice
@@ -503,8 +731,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 
 impl Namespace {
     /// A namespace whose keyed objects run `backend` and admit up to
-    /// `capacity` participants per epoch, striped over `shards`
-    /// independently locked shards.
+    /// `capacity` participants per epoch, striped over `shards` shards.
     ///
     /// # Panics
     ///
@@ -568,20 +795,14 @@ impl Namespace {
             }
         };
         Namespace {
-            shards: (0..shards)
-                .map(|_| {
-                    CachePadded(NsShard {
-                        map: RwLock::new(HashMap::new()),
-                        counters: ShardCounters::default(),
-                    })
-                })
-                .collect(),
+            shards: (0..shards).map(|_| CachePadded(NsShard::new())).collect(),
             layout: Layout::shared(backend, capacity),
             max_keys,
             key_count: AtomicUsize::new(0),
             lease_ns,
             clock: MonotonicClock::new(),
             trace: None,
+            counts: CachePadded::default(),
         }
     }
 
@@ -632,78 +853,122 @@ impl Namespace {
         self.trace.as_deref().filter(|r| r.enabled())
     }
 
-    fn shard_of(&self, key: &[u8]) -> &NsShard {
-        &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize].0
+    /// `key`'s hash and the shard it belongs to.
+    fn locate(&self, key: &[u8]) -> (u64, &NsShard) {
+        let hash = fnv1a(key);
+        (
+            hash,
+            &self.shards[(hash % self.shards.len() as u64) as usize].0,
+        )
     }
 
-    fn get_or_create(
+    /// `key`'s entry, created with `kind` at first contact.
+    fn get_or_create<'s>(
         &self,
-        shard: &NsShard,
+        shard: &'s NsShard,
+        hash: u64,
         kind: Kind,
         key: &[u8],
-    ) -> Result<Arc<Entry>, NsError> {
-        if let Some(entry) = shard.map.read().unwrap().get(key).cloned() {
-            return if entry.kind == kind {
-                Ok(entry)
-            } else {
-                Err(NsError::KindMismatch {
-                    existing: entry.kind,
-                    requested: kind,
-                })
-            };
+    ) -> Result<&'s Entry, NsError> {
+        let entry = match shard.find(hash, key) {
+            Some(entry) => entry,
+            None => self.create(shard, hash, kind, key)?,
+        };
+        if entry.kind == kind {
+            Ok(entry)
+        } else {
+            Err(NsError::KindMismatch {
+                existing: entry.kind,
+                requested: kind,
+            })
         }
-        let mut map = shard.map.write().unwrap();
-        if let Some(entry) = map.get(key) {
-            // Lost the creation race; the other creator picked the kind.
-            return if entry.kind == kind {
-                Ok(Arc::clone(entry))
-            } else {
-                Err(NsError::KindMismatch {
-                    existing: entry.kind,
-                    requested: kind,
-                })
-            };
+    }
+
+    /// Create `key` with `kind` under its shard's creation lock — or
+    /// return the entry a racing creator made first, whatever its kind.
+    fn create<'s>(
+        &self,
+        shard: &'s NsShard,
+        hash: u64,
+        kind: Kind,
+        key: &[u8],
+    ) -> Result<&'s Entry, NsError> {
+        // Each step below leaves the shard valid (at worst an entry no
+        // table lists), so a panic while the lock was held poisons
+        // nothing.
+        let mut owned = shard.owned.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(entry) = shard.find(hash, key) {
+            return Ok(entry);
         }
         if self.key_count.load(Ordering::Relaxed) >= self.max_keys {
             return Err(NsError::KeyLimit {
                 max_keys: self.max_keys,
             });
         }
-        let entry = Arc::new(Entry::new(kind, self.layout));
+        let entry = shard.insert(&mut owned, hash, Entry::new(key, kind, self.layout));
         // Keys are never evicted, so accumulating registers at creation
         // keeps the counter equal to the sum over all live objects.
         shard
             .counters
             .registers
-            .fetch_add(Entry::registers(kind, self.layout), Ordering::Relaxed);
-        map.insert(key.into(), Arc::clone(&entry));
+            .fetch_add(self.layout.tas_registers(), Ordering::Relaxed);
         self.key_count.fetch_add(1, Ordering::Relaxed);
         Ok(entry)
     }
 
     /// One arbitration operation on `key` (created at first contact
     /// with `kind` semantics): participate in the key's open epoch and
-    /// return the verdict.
+    /// return the verdict. Adds the call to the namespace's op and win
+    /// counters.
     pub fn acquire(
         &self,
         kind: Kind,
         key: &[u8],
         runner: &mut NativeRunner,
     ) -> Result<Acquired, NsError> {
+        let mut tally = Tally::default();
+        let acquired = self.acquire_into(kind, key, runner, &mut tally);
+        self.publish(&mut tally);
+        acquired
+    }
+
+    /// [`Namespace::acquire`], counting the call into `tally` instead of
+    /// the namespace's counters.
+    pub(crate) fn acquire_into(
+        &self,
+        kind: Kind,
+        key: &[u8],
+        runner: &mut NativeRunner,
+        tally: &mut Tally,
+    ) -> Result<Acquired, NsError> {
         // Read the clock only when a lease is armed: the disabled path
         // stays clock-free (and allocation-free — see tests/alloc_steady).
         let now_ns = if self.lease_ns != 0 { self.now_ns() } else { 0 };
-        let key_hash = fnv1a(key);
-        let shard = &self.shards[(key_hash % self.shards.len() as u64) as usize].0;
-        Ok(self.get_or_create(shard, kind, key)?.acquire(
+        let (hash, shard) = self.locate(key);
+        let acquired = self.get_or_create(shard, hash, kind, key)?.acquire(
             self.layout,
             &shard.counters,
             runner,
             now_ns,
             self.lease_ns,
-            key_hash,
+            hash,
             self.recorder(),
-        ))
+        );
+        tally.ops += 1;
+        tally.wins += u64::from(acquired.won);
+        Ok(acquired)
+    }
+
+    /// Add `tally` to the namespace's op and win counters, and clear it.
+    /// An empty tally writes nothing.
+    pub(crate) fn publish(&self, tally: &mut Tally) {
+        if tally.ops != 0 {
+            self.counts.0.ops.fetch_add(tally.ops, Ordering::Relaxed);
+            if tally.wins != 0 {
+                self.counts.0.wins.fetch_add(tally.wins, Ordering::Relaxed);
+            }
+            *tally = Tally::default();
+        }
     }
 
     /// Recycle `key`'s object for its next epoch (the resolution ack).
@@ -720,29 +985,30 @@ impl Namespace {
     /// admissions — a lease reclaim or an earlier ack already opened
     /// it — and the ack was an idempotent no-op.
     pub(crate) fn reset_ack(&self, key: &[u8]) -> Option<(u64, bool)> {
-        let shard = self.shard_of(key);
-        let entry = shard.map.read().unwrap().get(key).cloned()?;
-        Some(entry.recycle(&shard.counters))
+        let (hash, shard) = self.locate(key);
+        Some(shard.find(hash, key)?.recycle(&shard.counters))
     }
 
-    /// Aggregate counters over every shard — lock-free: a handful of
-    /// relaxed atomic loads per shard plus the global key count, so a
-    /// `STATS` request never blocks behind (or stalls) the arbitration
-    /// hot path. The snapshot is not atomic across counters: under
-    /// concurrent traffic, individual counters may be skewed by the
-    /// operations in flight, which is the usual (and here acceptable)
-    /// monitoring-read semantics. The connection gauges
+    /// Aggregate counters — lock-free: a handful of relaxed atomic
+    /// loads per shard plus the namespace's key, op and win counts, so
+    /// a `STATS` request never blocks behind (or stalls) the
+    /// arbitration hot path. The snapshot is not atomic across
+    /// counters: under concurrent traffic, individual counters may be
+    /// skewed by the operations in flight, and `ops` and `wins` leave
+    /// out the calls a connection has tallied but not yet published
+    /// (those of a burst it is still executing). That is the usual (and
+    /// here acceptable) monitoring-read semantics. The connection gauges
     /// ([`SvcStats::conns`], [`SvcStats::refused`]) are left zero —
     /// only the server's accept loop knows them.
     pub fn stats(&self) -> SvcStats {
         let mut stats = SvcStats {
             keys: self.key_count.load(Ordering::Relaxed) as u64,
+            ops: self.counts.0.ops.load(Ordering::Relaxed),
+            wins: self.counts.0.wins.load(Ordering::Relaxed),
             ..SvcStats::default()
         };
         for shard in &self.shards {
             let c = &shard.0.counters;
-            stats.ops += c.ops.load(Ordering::Relaxed);
-            stats.wins += c.wins.load(Ordering::Relaxed);
             stats.resets += c.resets.load(Ordering::Relaxed);
             stats.registers += c.registers.load(Ordering::Relaxed);
             stats.reclaimed += c.reclaimed.load(Ordering::Relaxed);
@@ -754,6 +1020,7 @@ impl Namespace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn solo_key_wins_then_loses_until_reset() {
@@ -834,37 +1101,99 @@ mod tests {
 
     #[test]
     fn concurrent_acquires_have_exactly_one_winner_per_epoch() {
-        let threads = 8;
-        let epochs = 30u64;
-        let ns = Namespace::new(Backend::Combined, 2, threads);
-        let wins: u64 = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let ns = &ns;
-                    s.spawn(move || {
-                        let mut runner = NativeRunner::new();
-                        let mut wins = 0u64;
-                        for _ in 0..epochs {
-                            let a = ns.acquire(Kind::Tas, b"contended", &mut runner).unwrap();
-                            wins += a.won as u64;
-                            if a.won {
-                                // The winner acks and recycles.
-                                ns.reset(b"contended").unwrap();
+        for kind in [Kind::Tas, Kind::Elect] {
+            let threads = 8;
+            let epochs = 30u64;
+            let ns = Namespace::new(Backend::Combined, 2, threads);
+            let wins: u64 = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let ns = &ns;
+                        s.spawn(move || {
+                            let mut runner = NativeRunner::new();
+                            let mut wins = 0u64;
+                            for _ in 0..epochs {
+                                let a = ns.acquire(kind, b"contended", &mut runner).unwrap();
+                                wins += a.won as u64;
+                                if a.won {
+                                    // The winner acks and recycles.
+                                    ns.reset(b"contended").unwrap();
+                                }
                             }
+                            wins
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).sum()
+            });
+            // Winner-led resets: each thread's sequence of acquires spans
+            // at least `epochs` epochs in total, and every completed epoch
+            // had exactly one winner (wins == resets performed).
+            let stats = ns.stats();
+            assert_eq!(wins, stats.wins, "{kind:?}");
+            assert_eq!(
+                stats.wins, stats.resets,
+                "{kind:?}: one winner acked per epoch"
+            );
+            assert_eq!(stats.ops, threads as u64 * epochs, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn elects_after_a_finished_loss_lose_at_the_doorway() {
+        // One hot-elect epoch: 64 ELECTs of one key, 32 from each of two
+        // threads, with no reset in between.
+        let per_thread = 32;
+        let ns = Namespace::new(Backend::Combined, 1, 2 * per_thread);
+        let a_loss_finished = AtomicBool::new(false);
+        let threads: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut runner = NativeRunner::new();
+                        let (mut wins, mut steps, mut elections) = (0, 0, 0);
+                        for _ in 0..per_thread {
+                            let late = a_loss_finished.load(Ordering::SeqCst);
+                            let a = ns.acquire(Kind::Elect, b"hot", &mut runner).unwrap();
+                            assert_eq!(a.epoch, 0);
+                            if late {
+                                assert_eq!(
+                                    runner.steps(),
+                                    0,
+                                    "an ELECT that started after a loss finished elected"
+                                );
+                            }
+                            if !a.won {
+                                a_loss_finished.store(true, Ordering::SeqCst);
+                            }
+                            wins += u64::from(a.won);
+                            steps += runner.steps();
+                            elections += u64::from(runner.steps() > 0);
                         }
-                        wins
+                        (wins, steps, elections)
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        // Winner-led resets: each thread's sequence of acquires spans at
-        // least `epochs` epochs in total, and every completed epoch had
-        // exactly one winner (wins == resets performed).
+        let sum = |f: fn(&(u64, u64, u64)) -> u64| threads.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|t| t.0), 1, "one winner in the epoch");
+        // A thread elects at most twice: a win and then a loss, or one
+        // loss. Its later ELECTs start after its own loss finished.
+        assert!(sum(|t| t.2) <= 4, "{} of 64 ELECTs elected", sum(|t| t.2));
+        assert!(sum(|t| t.1) > 0);
         let stats = ns.stats();
-        assert_eq!(wins, stats.wins);
-        assert_eq!(stats.wins, stats.resets, "one winner acked per epoch");
-        assert_eq!(stats.ops, threads as u64 * epochs);
+        assert_eq!((stats.ops, stats.wins), (64, 1));
+        assert_eq!(
+            stats.registers,
+            ns.layout.tas_registers(),
+            "an ELECT key counts the bit"
+        );
+        eprintln!(
+            "register steps in one 64-ELECT epoch: {} ({} elections)",
+            sum(|t| t.1),
+            sum(|t| t.2)
+        );
     }
 
     #[test]
@@ -878,7 +1207,7 @@ mod tests {
         let occupied = ns
             .shards
             .iter()
-            .filter(|s| !s.0.map.read().unwrap().is_empty())
+            .filter(|s| !s.0.table.load(Ordering::Relaxed).is_null())
             .count();
         assert!(occupied >= 4, "64 keys landed on only {occupied}/8 shards");
         assert_eq!(ns.stats().keys, 64);
@@ -1049,5 +1378,99 @@ mod tests {
             "every retired epoch had exactly one winner"
         );
         assert_eq!(stats.ops, threads as u64 * rounds + 1);
+    }
+
+    /// Keys `0..n`, each `key/<i>`.
+    fn fresh_keys(n: usize) -> Vec<Vec<u8>> {
+        (0..n).map(|i| format!("key/{i}").into_bytes()).collect()
+    }
+
+    #[test]
+    fn racing_creators_share_every_key_through_table_growth() {
+        // About 256 keys per shard: a first table of 8 slots doubles six
+        // times to hold them.
+        let (threads, shards, n) = (4, 2, 512);
+        let ns = Namespace::new(Backend::LogStar, shards, threads);
+        let keys = fresh_keys(n);
+        let wins: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (ns, keys, wins, start) = (&ns, &keys, &wins, &start);
+                s.spawn(move || {
+                    let mut runner = NativeRunner::new();
+                    start.wait();
+                    // Thread t touches the half of the keys that starts
+                    // at its own quarter, so every key has two creators
+                    // racing for it, from different directions.
+                    for j in 0..n / 2 {
+                        let i = if t % 2 == 0 {
+                            (t * n / 4 + j) % n
+                        } else {
+                            (t * n / 4 + n / 2 - 1 - j) % n
+                        };
+                        let a = ns.acquire(Kind::Tas, &keys[i], &mut runner).unwrap();
+                        assert_eq!(a.epoch, 0);
+                        wins[i].fetch_add(u64::from(a.won), Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert_eq!(ns.stats().keys, n as u64);
+        assert_eq!(ns.stats().ops, (threads * n / 2) as u64);
+        for (i, w) in wins.iter().enumerate() {
+            assert_eq!(w.load(Ordering::Relaxed), 1, "key/{i}: one winner");
+        }
+        for (i, shard) in ns.shards.iter().enumerate() {
+            let tables = shard.0.owned.lock().unwrap().tables.len();
+            assert!(tables >= 4, "shard {i} grew only {} times", tables - 1);
+        }
+        // Every key is found again, in its first epoch, by a fresh caller.
+        let mut runner = NativeRunner::new();
+        for key in &keys {
+            assert_eq!(ns.reset(key), Some(1));
+            assert!(ns.acquire(Kind::Tas, key, &mut runner).unwrap().won);
+        }
+        assert_eq!(ns.stats().keys, n as u64);
+    }
+
+    #[test]
+    fn a_tas_and_an_elect_racing_for_a_fresh_key_agree_on_its_kind() {
+        let n = 256;
+        let ns = Namespace::new(Backend::LogStar, 2, 2);
+        let keys = fresh_keys(n);
+        let start = std::sync::Barrier::new(2);
+        let racer = |kind: Kind| {
+            let (ns, keys, start) = (&ns, &keys, &start);
+            move || {
+                let mut runner = NativeRunner::new();
+                start.wait();
+                keys.iter()
+                    .map(|key| ns.acquire(kind, key, &mut runner))
+                    .collect::<Vec<_>>()
+            }
+        };
+        let (tas, elect) = std::thread::scope(|s| {
+            let tas = s.spawn(racer(Kind::Tas));
+            let elect = s.spawn(racer(Kind::Elect));
+            (tas.join().unwrap(), elect.join().unwrap())
+        });
+        for (i, (t, e)) in tas.iter().zip(&elect).enumerate() {
+            let (created, refused) = match (t, e) {
+                (Ok(a), Err(err)) => ((Kind::Tas, a), (Kind::Elect, err)),
+                (Err(err), Ok(a)) => ((Kind::Elect, a), (Kind::Tas, err)),
+                other => panic!("key/{i}: {other:?}"),
+            };
+            assert!(created.1.won, "key/{i}: the creator is alone in the epoch");
+            assert_eq!(
+                *refused.1,
+                NsError::KindMismatch {
+                    existing: created.0,
+                    requested: refused.0
+                },
+                "key/{i}"
+            );
+        }
+        assert_eq!(ns.stats().keys, n as u64);
     }
 }

@@ -126,7 +126,9 @@ pub struct Acquired {
 pub struct SvcStats {
     /// Live keys across all namespace shards.
     pub keys: u64,
-    /// Arbitration operations served (TAS + ELECT), cumulative.
+    /// Arbitration operations served (TAS + ELECT), cumulative. A
+    /// connection adds its operations once per burst it reads, and
+    /// before it answers `STATS` or `METRICS`.
     pub ops: u64,
     /// Winning operations, cumulative — one per completed key-epoch.
     pub wins: u64,

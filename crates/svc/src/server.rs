@@ -59,7 +59,7 @@ use crate::reactor::{Engine, ReactorPool};
 pub struct SvcConfig {
     /// Bind address; port 0 picks a free port (see [`Server::addr`]).
     pub addr: String,
-    /// Namespace shards (independent key maps + locks).
+    /// Namespace shards (independent key tables + creation locks).
     pub shards: usize,
     /// Participants admitted per key-epoch.
     pub capacity: usize,

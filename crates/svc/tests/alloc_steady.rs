@@ -2,10 +2,11 @@
 //!
 //! The service claim is "zero steady-state allocations", absolute: once a
 //! key exists, the acquire → finish → reset cycle through the keyed
-//! namespace allocates **nothing** on any backend — not the namespace
-//! machinery (shard lookup, `Arc` clone, epoch gate, counters), and not
-//! the protocol either, whose frames run on the runner's reused stack.
-//! The bare recyclable object is pinned to zero alongside it.
+//! namespace allocates **nothing** on any backend and for either kind —
+//! not the namespace machinery (the lock-free key lookup, the epoch gate,
+//! the doorway bit, the counters), and not the protocol either, whose
+//! frames run on the runner's reused stack. The bare recyclable object
+//! is pinned to zero alongside it.
 //!
 //! Everything runs in ONE test function: the default test harness runs
 //! `#[test]` functions concurrently, and a second thread would pollute
@@ -70,22 +71,24 @@ fn namespace_steady_state_allocates_nothing_on_any_backend() {
         );
 
         // --- The same traffic through the keyed namespace. ---
-        let ns = Namespace::new(backend, 4, 1);
-        let key = b"steady/key";
-        // Warmup: create the key, fault in the map, etc.
-        for _ in 0..10 {
-            assert!(ns.acquire(Kind::Tas, key, &mut runner).unwrap().won);
-            ns.reset(key).unwrap();
+        for kind in [Kind::Tas, Kind::Elect] {
+            let ns = Namespace::new(backend, 4, 1);
+            let key = b"steady/key";
+            // Warmup: create the key, fault in the table, etc.
+            for _ in 0..10 {
+                assert!(ns.acquire(kind, key, &mut runner).unwrap().won);
+                ns.reset(key).unwrap();
+            }
+            let before = allocations();
+            for _ in 0..epochs {
+                assert!(ns.acquire(kind, key, &mut runner).unwrap().won);
+                ns.reset(key).unwrap();
+            }
+            let ns_allocs = allocations() - before;
+            assert_eq!(
+                ns_allocs, 0,
+                "{backend:?}/{kind:?}: the keyed-namespace op path allocated over {epochs} epochs"
+            );
         }
-        let before = allocations();
-        for _ in 0..epochs {
-            assert!(ns.acquire(Kind::Tas, key, &mut runner).unwrap().won);
-            ns.reset(key).unwrap();
-        }
-        let ns_allocs = allocations() - before;
-        assert_eq!(
-            ns_allocs, 0,
-            "{backend:?}: the keyed-namespace op path allocated over {epochs} epochs"
-        );
     }
 }

@@ -451,6 +451,67 @@ fn stats_round_trip_over_the_wire_matches_in_process_counters() {
     srv.shutdown();
 }
 
+/// Count one acquire verdict into `(ops, wins)`.
+fn count_verdict(counts: &mut (u64, u64), response: Response) {
+    match response {
+        Response::Acquired(a) => {
+            counts.0 += 1;
+            counts.1 += u64::from(a.won);
+        }
+        other => panic!("expected a verdict, got {other:?}"),
+    }
+}
+
+#[test]
+fn stats_count_every_acquire_of_pipelined_elect_bursts() {
+    let srv = spawn_server(2, 64);
+    let keys: [&[u8]; 4] = [b"hot/0", b"hot/1", b"hot/2", b"hot/3"];
+    let mut clients = [0, 1].map(|_| Client::connect(srv.addr()).unwrap());
+    // 8 ELECTs of each key per burst, and both connections' bursts in
+    // flight together before either reads.
+    let burst: Vec<(Op, &[u8])> = (0..32).map(|i| (Op::Elect, keys[i % 4])).collect();
+    let mut counts = (0u64, 0u64);
+    let rounds = 20;
+    for _ in 0..rounds {
+        for client in &mut clients {
+            client.send_batch(&burst).unwrap();
+        }
+        for client in &mut clients {
+            for _ in 0..burst.len() {
+                count_verdict(&mut counts, client.recv().unwrap());
+            }
+        }
+        for key in keys {
+            clients[0].reset(key).unwrap();
+        }
+    }
+    assert_eq!(counts.1, 4 * rounds, "one winner per key-epoch");
+    for client in &mut clients {
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.ops, stats.wins), counts);
+    }
+
+    // A STATS in the middle of a burst counts the acquires framed
+    // before it on its own connection, and none framed after it.
+    let mut mixed = burst[..5].to_vec();
+    mixed.push((Op::Stats, b""));
+    mixed.extend_from_slice(&burst[..5]);
+    clients[1].send_batch(&mixed).unwrap();
+    for _ in 0..5 {
+        count_verdict(&mut counts, clients[1].recv().unwrap());
+    }
+    match clients[1].recv().unwrap() {
+        Response::Stats(stats) => assert_eq!((stats.ops, stats.wins), counts),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    for _ in 0..5 {
+        count_verdict(&mut counts, clients[1].recv().unwrap());
+    }
+    let stats = clients[0].stats().unwrap();
+    assert_eq!((stats.ops, stats.wins), counts);
+    srv.shutdown();
+}
+
 #[test]
 fn every_send_is_one_wire_write_with_nodelay() {
     // The socket-level coalescing assertions: TCP_NODELAY is on (a
